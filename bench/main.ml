@@ -501,12 +501,8 @@ let micro () =
         (Staged.stage (fun () -> ignore (Cuckoo_hash.build prg elements)));
       Test.make ~name:"benes-route-256"
         (Staged.stage (fun () -> ignore (Permutation_network.build perm)));
-      Test.make ~name:"garble-32b-mul-sha"
-        (Staged.stage (fun () ->
-             ignore (Garbling.garble ~kdf:Garbling.Sha256_kdf garble_prg circuit)));
-      Test.make ~name:"garble-32b-mul-aes"
-        (Staged.stage (fun () ->
-             ignore (Garbling.garble ~kdf:Garbling.Aes128_kdf garble_prg circuit)));
+      Test.make ~name:"garble-32b-mul"
+        (Staged.stage (fun () -> ignore (Garbling.garble garble_prg circuit)));
       Test.make ~name:"eval-clear-32b-mul"
         (Staged.stage (fun () -> ignore (Boolean_circuit.eval circuit (Array.make 64 true))));
     ]
@@ -624,26 +620,37 @@ let gc_perf () =
   hrule ();
   line "GC engine performance (label hashes, garbling throughput, parallel batches)";
   hrule ();
-  (* 1. per-label KDF cost: the acceptance criterion is AES < SHA-256 *)
+  (* 1. per-label hash cost of each kernel the host can run, on the
+     hot-path plane hash (in place over a 16-byte label) *)
+  let kernel = Label_hash.kernel in
+  line "%-24s %s (%s)" "label-hash-kernel" (Label_hash.kernel_name kernel)
+    Label_hash.kernel_reason;
+  let plane = Bytes.create 16 in
   let prg = Prg.create 3L in
-  let label = Garbling.Label.random prg in
-  let sha_ns = ns_per_run "label-hash-sha256" (fun () ->
-      ignore (Garbling.Label.hash label ~tweak:42L)) in
-  let aes_ns = ns_per_run "label-hash-aes128" (fun () ->
-      ignore (Garbling.Label.hash_aes label ~tweak:42L)) in
-  line "%-24s %12.1f ns/op" "label-hash-sha256" sha_ns;
-  line "%-24s %12.1f ns/op  (%.2fx faster)" "label-hash-aes128" aes_ns (sha_ns /. aes_ns);
+  Bytes.set_int64_ne plane 0 (Prg.next_int64 prg);
+  Bytes.set_int64_ne plane 8 (Prg.next_int64 prg);
+  let kernels =
+    if kernel = Label_hash.Aes_ni then [ Label_hash.Aes_ni; Label_hash.Ocaml_aes ]
+    else [ Label_hash.Ocaml_aes ]
+  in
   List.iter
-    (fun (kdf, ns) ->
+    (fun k ->
+      let name = Label_hash.kernel_name k in
+      let ns =
+        ns_per_run ("label-hash-" ^ name) (fun () ->
+            Label_hash.hash1_with k ~tweak:42 plane 0 plane 0)
+      in
+      line "%-24s %12.1f ns/op" ("label-hash-" ^ name) ns;
       bench2_records :=
         Json.Obj
           [
-            ("kind", Json.Str "label-hash"); ("kdf", Json.Str kdf);
-            ("ns_per_op", Json.Float ns);
+            ("kind", Json.Str "label-hash"); ("kernel", Json.Str name);
+            ("active", Json.Bool (k = kernel)); ("ns_per_op", Json.Float ns);
           ]
         :: !bench2_records)
-    [ ("sha256", sha_ns); ("aes128", aes_ns) ];
-  (* 2. whole-circuit garbling throughput in AND gates per second *)
+    kernels;
+  (* 2. whole-circuit garbling throughput in AND gates per second, on the
+     active kernel *)
   let circuit =
     let module Bb = Boolean_circuit.Builder in
     let b = Bb.create () in
@@ -653,22 +660,20 @@ let gc_perf () =
   in
   let ands = Boolean_circuit.and_count circuit in
   let garble_prg = Prg.create 2L in
-  List.iter
-    (fun (name, kdf) ->
-      let ns = ns_per_run ("garble-" ^ name) (fun () ->
-          ignore (Garbling.garble ~kdf garble_prg circuit)) in
-      let gates_per_s = float_of_int ands /. (ns *. 1e-9) in
-      line "%-24s %12.1f ns/circuit  %10.0f AND gates/s" ("garble-32b-mul-" ^ name) ns
-        gates_per_s;
-      bench2_records :=
-        Json.Obj
-          [
-            ("kind", Json.Str "garble-throughput"); ("kdf", Json.Str name);
-            ("and_gates", Json.Int ands); ("ns_per_circuit", Json.Float ns);
-            ("and_gates_per_s", Json.Float gates_per_s);
-          ]
-        :: !bench2_records)
-    [ ("sha256", Garbling.Sha256_kdf); ("aes128", Garbling.Aes128_kdf) ];
+  let garble_ns =
+    ns_per_run "garble" (fun () -> ignore (Garbling.garble garble_prg circuit))
+  in
+  let gates_per_s = float_of_int ands /. (garble_ns *. 1e-9) in
+  line "%-24s %12.1f ns/circuit  %10.0f AND gates/s" "garble-32b-mul" garble_ns gates_per_s;
+  bench2_records :=
+    Json.Obj
+      [
+        ("kind", Json.Str "garble-throughput");
+        ("kernel", Json.Str (Label_hash.kernel_name kernel));
+        ("and_gates", Json.Int ands); ("ns_per_circuit", Json.Float garble_ns);
+        ("and_gates_per_s", Json.Float gates_per_s);
+      ]
+    :: !bench2_records;
   (* 3. batch wall-clock across pool sizes, with a determinism cross-check *)
   let items = 48 in
   let batch_inputs () =
@@ -680,23 +685,59 @@ let gc_perf () =
         ])
   in
   let build b words = [ Circuits.mul_word b words.(0) words.(1) ] in
-  let batch domains =
+  (* One timed batch on a fresh context of [domains]. An untimed first
+     batch creates the pool, spawns its workers if the batch runs in
+     parallel, and grows every participant's arena; the timelines are
+     reset after it, so neither the timer nor the timelines include pool
+     creation or domain spawn. *)
+  let timed_batch domains =
     let ctx = Context.create ~gc_backend:Context.Real ~domains ~seed () in
-    let shares, secs =
-      time (fun () -> Gc_protocol.eval_to_shares_batch ctx ~items:(batch_inputs ()) ~build)
-    in
+    ignore (Gc_protocol.eval_to_shares_batch ctx ~items:(batch_inputs ()) ~build);
+    let items = batch_inputs () in
+    Option.iter Domain_pool.reset_timelines (Context.pool_opt ctx);
+    let shares, secs = time (fun () -> Gc_protocol.eval_to_shares_batch ctx ~items ~build) in
+    let tls = Option.fold ~none:[] ~some:Domain_pool.timelines (Context.pool_opt ctx) in
     Context.shutdown_pool ctx;
-    (shares, secs)
+    (shares, secs, tls)
+  in
+  (* [reps] rounds of one timed batch per pool size, the pool sizes
+     interleaved within each round so host drift favours none of them.
+     Per pool size: the shares, the median seconds, and the speedup over
+     one domain as the median of the per-round paired ratios (a round's
+     batches run back to back, so their ratio cancels slow drift). *)
+  let median l =
+    let a = Array.of_list l in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  let interleaved ~reps sizes =
+    let rounds =
+      List.init reps (fun _ ->
+          List.map
+            (fun domains ->
+              settle ();
+              let shares, secs, _ = timed_batch domains in
+              (domains, (shares, secs)))
+            sizes)
+    in
+    let secs_of round domains = snd (List.assoc domains round) in
+    List.map
+      (fun domains ->
+        ( domains,
+          ( fst (List.assoc domains (List.hd rounds)),
+            median (List.map (fun r -> secs_of r domains) rounds),
+            median (List.map (fun r -> secs_of r 1 /. secs_of r domains) rounds) ) ))
+      sizes
   in
   let pool_sizes = List.sort_uniq compare [ 1; 2; max 1 !requested_domains ] in
-  let baseline, base_secs = batch 1 in
+  let batch_results = interleaved ~reps:15 pool_sizes in
+  let baseline, _, _ = List.assoc 1 batch_results in
   List.iter
-    (fun domains ->
-      let shares, secs = if domains = 1 then (baseline, base_secs) else batch domains in
+    (fun (domains, (shares, secs, speedup)) ->
       let identical = shares = baseline in
       line "%-24s %12.3f ms  (%d items, speedup %.2fx, identical %b)"
         (Printf.sprintf "batch-garble-%dd" domains)
-        (secs *. 1e3) items (base_secs /. secs) identical;
+        (secs *. 1e3) items speedup identical;
       if not identical then line "  !! parallel batch diverged from sequential";
       bench2_records :=
         Json.Obj
@@ -705,11 +746,11 @@ let gc_perf () =
             ("items", Json.Int items); ("and_gates", Json.Int (ands * items));
             ("seconds", Json.Float secs);
             ("and_gates_per_s", Json.Float (float_of_int (ands * items) /. secs));
-            ("speedup_vs_domains1", Json.Float (base_secs /. secs));
+            ("speedup_vs_domains1", Json.Float speedup);
             ("identical_to_sequential", Json.Bool identical);
           ]
         :: !bench2_records)
-    pool_sizes;
+    batch_results;
   (* 4. per-domain contention timelines: where each participant's
      wall-clock goes (busy vs queue-wait vs lock-wait) as the pool grows
      — the instrumented view of the ROADMAP item-1 regression. *)
@@ -719,16 +760,7 @@ let gc_perf () =
   List.iter
     (fun domains ->
       settle ();
-      let ctx = Context.create ~gc_backend:Context.Real ~domains ~seed () in
-      let _, secs =
-        time (fun () -> Gc_protocol.eval_to_shares_batch ctx ~items:(batch_inputs ()) ~build)
-      in
-      let tls =
-        match Context.pool_opt ctx with
-        | Some pool -> Domain_pool.timelines pool
-        | None -> []
-      in
-      Context.shutdown_pool ctx;
+      let _, secs, tls = timed_batch domains in
       let sum f = List.fold_left (fun acc tl -> acc +. f tl) 0. tls in
       let wall = sum (fun tl -> tl.Domain_pool.wall_ns) in
       let frac f = if wall > 0. then sum f /. wall else 0. in
@@ -879,26 +911,12 @@ let gc_perf () =
      actually run in parallel *)
   Secyan_metrics.set_enabled false;
   let sweep_sizes = List.sort_uniq compare [ 1; 2; 4; 8; max 1 !requested_domains ] in
-  let sweep_reps = 3 in
-  let sweep domains =
-    let shares = ref [||] and best = ref infinity in
-    for _ = 1 to sweep_reps do
-      settle ();
-      let s, secs = batch domains in
-      shares := s;
-      if secs < !best then best := secs
-    done;
-    (!shares, !best)
-  in
-  let sweep_base, sweep_base_secs = sweep 1 in
+  let sweep_results = interleaved ~reps:15 sweep_sizes in
+  let sweep_base, _, _ = List.assoc 1 sweep_results in
   let sweep_results =
     List.map
-      (fun domains ->
-        let shares, secs =
-          if domains = 1 then (sweep_base, sweep_base_secs) else sweep domains
-        in
+      (fun (domains, (shares, secs, speedup)) ->
         let identical = shares = sweep_base in
-        let speedup = sweep_base_secs /. secs in
         line "%-24s %12.3f ms  (speedup %.2fx, identical %b)"
           (Printf.sprintf "sweep-%dd" domains)
           (secs *. 1e3) speedup identical;
@@ -915,7 +933,7 @@ let gc_perf () =
             ]
           :: !bench7_records;
         (domains, speedup, identical))
-      sweep_sizes
+      sweep_results
   in
   let cores = Domain.recommended_domain_count () in
   let gated = List.filter (fun (d, _, _) -> d <= cores) sweep_results in

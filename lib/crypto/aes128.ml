@@ -1,19 +1,19 @@
 (** AES-128 encryption (FIPS 197), pure OCaml.
 
-    Used as a fixed-key permutation for fast garbled-circuit key
-    derivation (the standard practice in MPC implementations such as the
-    one the paper builds on: one key schedule, then two AES calls per
-    garbled row). The S-box is derived from the field arithmetic rather
-    than embedded as a table; encryption is validated against the FIPS-197
-    vectors in the test suite. Only encryption is implemented — the KDF
+    Used as a fixed-key permutation for garbled-circuit label hashing
+    (the standard practice in MPC implementations such as the one the
+    paper builds on: one key schedule, then one AES call per hashed
+    label). The S-box is derived from the field arithmetic rather than
+    embedded as a table; encryption is validated against the FIPS-197
+    vectors in the test suite. Only encryption is implemented — the hash
     never decrypts.
 
-    The hot path is {!label_hash_with}: rounds run in place over a 16-int
-    state held in domain-local scratch (safe under parallel garbling), the
+    This is the reference and fallback kernel of {!Label_hash}: the
+    AES-NI kernel is checked bit for bit against {!label_hash_bytes}, and
+    hosts without AES-NI run it. Rounds run in place over a 16-int state
+    held in domain-local scratch (safe under parallel garbling), the
     GF(2^8) doublings/triplings come from precomputed tables, and the
-    fixed key schedule is expanded once at module initialization — the
-    per-gate hash does no [Bytes] traffic, no lazy checks, and no schedule
-    lookups. *)
+    fixed key schedule is expanded once at module initialization. *)
 
 (* --- GF(2^8) arithmetic -------------------------------------------- *)
 
@@ -199,18 +199,15 @@ let pair_of_state (st : int array) =
 (* Per-domain scratch state: parallel garblers each get their own. *)
 let scratch = Domain.DLS.new_key (fun () -> Array.make 16 0)
 
-let encrypt_pair sched (hi, lo) =
-  let st = Domain.DLS.get scratch in
-  state_of_pair st hi lo;
-  encrypt_state sched st;
-  pair_of_state st
-
-(** The fixed key used for garbling KDFs (a nothing-up-my-sleeve value),
-    expanded once at module initialization. *)
+(** The fixed key used for garbled-row hashing (a nothing-up-my-sleeve
+    value), expanded once at module initialization. *)
 let fixed_key : schedule =
   expand_key (Bytes.of_string "\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f")
 
-let fixed_schedule = lazy fixed_key
+let round_keys (sched : schedule) =
+  let b = Bytes.create 176 in
+  Array.iteri (fun r rk -> Array.iteri (fun i v -> Bytes.set b ((16 * r) + i) (Char.chr v)) rk) sched;
+  b
 
 (** Fixed-key hash for wire labels under an explicit (pre-expanded)
     schedule: H(x, tweak) = pi(x') XOR x' where x' = 2x XOR tweak (the
@@ -223,8 +220,6 @@ let label_hash_with (sched : schedule) ~tweak (hi, lo) =
   encrypt_state sched st;
   let chi, clo = pair_of_state st in
   (Int64.logxor chi hi', Int64.logxor clo lo')
-
-let label_hash ~tweak pair = label_hash_with fixed_key ~tweak pair
 
 (* Unaligned native-endian int64 access into [Bytes]. These compile to
    plain loads/stores in native code — the operands stay unboxed, which

@@ -1,8 +1,9 @@
-(** AES-128 encryption (FIPS 197), pure OCaml, used as a fixed-key
-    permutation for fast garbled-circuit key derivation. Encryption only;
-    validated against the FIPS-197 vectors. The label-hash hot path runs
-    in place over domain-local scratch (safe under parallel garbling) with
-    table-driven MixColumns and a key schedule expanded once at module
+(** AES-128 encryption (FIPS 197), pure OCaml, used as the fixed-key
+    permutation of the garbled-circuit label hash. Encryption only;
+    validated against the FIPS-197 vectors. It is the reference and
+    fallback kernel of {!Label_hash}. The label hash runs in place over
+    domain-local scratch (safe under parallel garbling) with table-driven
+    MixColumns and a key schedule expanded once at module
     initialization. *)
 
 (** The AES S-box, derived from the GF(2^8) arithmetic (test hook). *)
@@ -16,23 +17,18 @@ val expand_key : Bytes.t -> schedule
 (** @raise Invalid_argument unless the block is 16 bytes. *)
 val encrypt_block : schedule -> Bytes.t -> Bytes.t
 
-(** Encrypt a 128-bit block given as an int64 pair. *)
-val encrypt_pair : schedule -> int64 * int64 -> int64 * int64
-
-(** The fixed key schedule used by garbling KDFs, expanded at module
+(** The fixed key schedule of the label hash, expanded at module
     initialization (no lazy check on the hot path). *)
 val fixed_key : schedule
 
-(** [lazy fixed_key]; kept for callers that want an explicit suspension. *)
-val fixed_schedule : schedule Lazy.t
+(** The 11 round keys as 176 bytes, round 0 first, each in FIPS byte
+    order — the layout the AES-NI kernel loads. *)
+val round_keys : schedule -> Bytes.t
 
 (** Fixed-key correlation-robust hash for wire labels under an explicit
     pre-expanded schedule (the per-gate fast path):
     H(x, tweak) = pi(x') XOR x' with x' derived from x and the tweak. *)
 val label_hash_with : schedule -> tweak:int64 -> int64 * int64 -> int64 * int64
-
-(** {!label_hash_with} under {!fixed_key}. *)
-val label_hash : tweak:int64 -> int64 * int64 -> int64 * int64
 
 (** The label hash over [Bytes] planes, for the unboxed garbling kernels:
     reads the label at [src.(soff, soff+16)] ([hi] then [lo], native byte
@@ -40,6 +36,7 @@ val label_hash : tweak:int64 -> int64 * int64 -> int64 * int64
     layout. Bit-identical to {!label_hash_with} at the same tweak value,
     but every intermediate stays unboxed — the call allocates nothing.
     Offsets are {e not} bounds-checked (callers size their planes from
-    the circuit before the loop); [src == dst] is fine as long as the
-    ranges do not overlap. *)
+    the circuit before the loop). Every read of [src] precedes the first
+    write to [dst], so hashing in place ([src == dst], [soff = doff]) is
+    fine; partially overlapping ranges are not. *)
 val label_hash_bytes : schedule -> tweak:int -> Bytes.t -> int -> Bytes.t -> int -> unit

@@ -17,8 +17,6 @@ type t = {
   kappa : int;        (** computational security parameter (bits) *)
   sigma : int;        (** statistical security parameter (bits) *)
   gc_backend : gc_backend;
-  gc_kdf : Garbling.kdf;
-      (** key-derivation function for garbled rows (default fixed-key AES) *)
   domains : int;      (** parallelism of the batch-garbling engine *)
   pool : Domain_pool.t Lazy.t;
       (** the work pool, spawned on first parallel batch; size [domains] *)
@@ -118,7 +116,7 @@ let wire_of ~schema transport =
         done
 
 let create ?(bits = 32) ?(kappa = 128) ?(sigma = 40) ?(gc_backend = Sim)
-    ?(gc_kdf = Garbling.Aes128_kdf) ?(domains = 1) ?transport ?checkpoint
+    ?(domains = 1) ?transport ?checkpoint
     ?cancel ?supervisor ~seed () =
   let domains = max 1 domains in
   let master = Prg.create seed in
@@ -133,7 +131,6 @@ let create ?(bits = 32) ?(kappa = 128) ?(sigma = 40) ?(gc_backend = Sim)
       kappa;
       sigma;
       gc_backend;
-      gc_kdf;
       domains;
       pool = lazy (Domain_pool.create domains);
       prg_alice = Prg.split master;

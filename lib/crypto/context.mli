@@ -13,8 +13,6 @@ type t = {
   kappa : int;        (** computational security parameter (bits) *)
   sigma : int;        (** statistical security parameter (bits) *)
   gc_backend : gc_backend;
-  gc_kdf : Garbling.kdf;
-      (** key-derivation function for garbled rows (default fixed-key AES) *)
   domains : int;      (** parallelism of the batch-garbling engine *)
   pool : Domain_pool.t Lazy.t;
       (** the work pool, spawned on first parallel batch; size [domains] *)
@@ -56,7 +54,7 @@ type t = {
 }
 
 (** Defaults match the paper's evaluation: bits = 32 annotation ring,
-    kappa = 128, sigma = 40, simulated GC backend, fixed-key AES KDF,
+    kappa = 128, sigma = 40, simulated GC backend,
     [domains = 1] (fully sequential). [domains > 1] parallelizes the GC
     batch entry points with bit-identical results, communication, and
     rounds (see DESIGN.md §9). [transport] attaches a real framed channel
@@ -78,7 +76,7 @@ type t = {
     to the defaults. *)
 val create :
   ?bits:int -> ?kappa:int -> ?sigma:int -> ?gc_backend:gc_backend ->
-  ?gc_kdf:Garbling.kdf -> ?domains:int -> ?transport:Secyan_net.Resilient.t ->
+  ?domains:int -> ?transport:Secyan_net.Resilient.t ->
   ?checkpoint:Checkpoint.sink -> ?cancel:Deadline.t ->
   ?supervisor:Domain_pool.supervisor -> seed:int64 -> unit -> t
 

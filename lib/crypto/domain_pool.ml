@@ -11,8 +11,10 @@
     sequential [for] loop — exactly the pre-pool behaviour, with zero
     synchronization.
 
-    Workers are persistent: they are spawned once at [create] and park on
-    a mutex/condition-variable queue between batches, so per-batch
+    Workers are persistent: they are spawned once, on the first batch
+    that actually runs in parallel (not at [create], so a pool whose
+    batches all run sequentially never starts a domain), and park on a
+    mutex/condition-variable queue between batches, so per-batch
     overhead is one broadcast plus one atomic fetch-and-add per item.
     [shutdown] joins the workers; pools also register an [at_exit] hook so
     forgotten pools cannot hang program termination.
@@ -121,7 +123,8 @@ type t = {
   hung : bool array;         (* per slot, written by the supervisor under lock *)
   claims : int Atomic.t array;   (* per slot: running item index, -1 when idle *)
   beats : int Atomic.t array;    (* per slot: last heartbeat, ns since epoch *)
-  mutable domains : (int * unit Domain.t) list;  (* (slot, domain) *)
+  mutable domains : (int * unit Domain.t) list;
+      (* (slot, domain); [] until the first parallel batch and after shutdown *)
   timelines : timeline array;  (* one per participant, index = slot *)
 }
 
@@ -251,7 +254,9 @@ let rec worker t slot =
     if profiling () then begin
       let t0 = now_ns () in
       Condition.wait t.work t.lock;
-      tl.queue_wait_ns <- tl.queue_wait_ns +. (now_ns () -. t0);
+      (* a park that began before {!reset_timelines} counts from the
+         reset, as the wall clock does *)
+      tl.queue_wait_ns <- tl.queue_wait_ns +. (now_ns () -. Float.max t0 tl.origin_ns);
       tl.wakeups <- tl.wakeups + 1
     end
     else Condition.wait t.work t.lock
@@ -287,35 +292,41 @@ let shutdown t =
 
 let create size =
   let size = max 1 (min size 128) in
-  let t =
-    {
-      size;
-      lock = Mutex.create ();
-      work = Condition.create ();
-      idle = Condition.create ();
-      pending = None;
-      stop = Atomic.make false;
-      poisoned = Atomic.make false;
-      hung = Array.make size false;
-      claims = Array.init size (fun _ -> Atomic.make (-1));
-      beats = Array.init size (fun _ -> Atomic.make 0);
-      domains = [];
-      timelines = Array.init size fresh_timeline;
-    }
-  in
-  if size > 1 then begin
-    t.domains <-
-      List.init (size - 1) (fun i ->
-          let slot = i + 1 in
-          ( slot,
-            Domain.spawn (fun () ->
-                t.timelines.(slot).origin_ns <- now_ns ();
-                worker t slot) ));
-    (* A parked worker would keep the program alive at exit; make sure
-       forgotten pools wind down. [shutdown] is idempotent. *)
-    at_exit (fun () -> shutdown t)
-  end;
-  t
+  {
+    size;
+    lock = Mutex.create ();
+    work = Condition.create ();
+    idle = Condition.create ();
+    pending = None;
+    stop = Atomic.make false;
+    poisoned = Atomic.make false;
+    hung = Array.make size false;
+    claims = Array.init size (fun _ -> Atomic.make (-1));
+    beats = Array.init size (fun _ -> Atomic.make 0);
+    domains = [];
+    timelines = Array.init size fresh_timeline;
+  }
+
+(* Spawn the [size - 1] workers, once, on the first batch that runs in
+   parallel. Under the lock so a racing [shutdown] either sees the
+   workers (and joins them) or has already set [stop] (and none start). *)
+let ensure_workers t =
+  if t.domains = [] then begin
+    Mutex.lock t.lock;
+    if t.domains = [] && not (Atomic.get t.stop) then begin
+      t.domains <-
+        List.init (t.size - 1) (fun i ->
+            let slot = i + 1 in
+            ( slot,
+              Domain.spawn (fun () ->
+                  t.timelines.(slot).origin_ns <- now_ns ();
+                  worker t slot) ));
+      (* A parked worker would keep the program alive at exit; make sure
+         forgotten pools wind down. [shutdown] is idempotent. *)
+      at_exit (fun () -> shutdown t)
+    end;
+    Mutex.unlock t.lock
+  end
 
 (* Sequential execution on the caller — the size-1 / shut-down / poisoned
    path. Still polls the cancel token between items so a sequential
@@ -344,6 +355,8 @@ let run_sequential ?cancel t ~n ~f =
     for i = 0 to n - 1 do
       step i
     done
+
+let run_inline ?cancel t ~n ~f = if n > 0 then run_sequential ?cancel t ~n ~f
 
 let sequential_only t =
   t.size = 1 || Atomic.get t.stop
@@ -400,6 +413,7 @@ let run ?cancel t ~n ~f =
           active = Atomic.make 0; abort = Atomic.make false; cancel;
           fail_fast = false; heartbeat = false; failure = Atomic.make None }
       in
+      ensure_workers t;
       post t tl job;
       drain t tl ~slot:0 job;
       lock_timed t tl;
@@ -462,6 +476,7 @@ let run_supervised ?cancel ?(supervisor = default_supervisor) t ~n ~f =
           active = Atomic.make 0; abort = Atomic.make false; cancel;
           fail_fast = true; heartbeat = true; failure = Atomic.make None }
       in
+      ensure_workers t;
       (* Pre-stamp every worker's heartbeat: a worker that never gets to
          claim (all parked) must not look hung. *)
       let t0 = now_ns_int () in

@@ -1,8 +1,10 @@
 (** A dependency-free work pool over [Domain.spawn]: persistent worker
     domains parked on a mutex/condvar queue, fed index-parallel loops.
 
-    Size 1 spawns no domains and runs loops as plain sequential [for] —
-    exactly the single-domain behaviour, with zero synchronization.
+    Workers start on the first batch that runs in parallel, not at
+    {!create}. Size 1 never spawns a domain and runs loops as plain
+    sequential [for] — exactly the single-domain behaviour, with zero
+    synchronization.
 
     Batches are abort-safe: a fired cancel token, a shutdown, or (under
     {!run_supervised}) a worker fault stops further claims, and the
@@ -12,10 +14,12 @@
 
 type t
 
-(** [create size] spawns [size - 1] persistent worker domains (the caller
-    of {!run} is the remaining participant). [size] is clamped to
-    [\[1, 128\]]. Pools register an [at_exit] {!shutdown} so a forgotten
-    pool cannot hang program termination. *)
+(** [create size] makes a pool of [size - 1] persistent worker domains
+    (the caller of {!run} is the remaining participant), spawned on the
+    first {!run} or {!run_supervised} batch that runs in parallel.
+    [size] is clamped to [\[1, 128\]]. Pools that spawned register an
+    [at_exit] {!shutdown} so a forgotten pool cannot hang program
+    termination. *)
 val create : int -> t
 
 (** Total parallelism, including the calling domain. *)
@@ -66,6 +70,13 @@ val default_supervisor : supervisor
     is quiescent. *)
 val run : ?cancel:Secyan_deadline.t -> t -> n:int -> f:(int -> unit) -> unit
 
+(** [run_inline t ~n ~f] runs the batch sequentially on the caller —
+    the path {!run} takes on a size-1 pool — whatever the pool's size,
+    and spawns nothing. It charges the caller's (slot 0) timeline and
+    polls [cancel] before every item. For batches too small to repay a
+    parallel fan-out. *)
+val run_inline : ?cancel:Secyan_deadline.t -> t -> n:int -> f:(int -> unit) -> unit
+
 (** Like {!run}, but the caller supervises instead of claiming items:
     workers heartbeat per claim, the first item exception abort-fails
     the whole batch (fail-fast, unlike {!run}), and a worker silent past
@@ -108,7 +119,8 @@ val shutdown : t -> unit
 
 (** One participant's accumulated timeline. [domain] 0 is the calling
     domain; workers are 1 .. size-1. For workers [wall_ns] is the time
-    since the domain was spawned (or since {!reset_timelines}); for the
+    since the domain was spawned (or since {!reset_timelines}), and 0
+    while the pool has not spawned; for the
     caller it is the total time spent inside {!run}. While profiling,
     busy + queue-wait + lock-wait accounts for a participant's wall
     clock (workers spend the rest of their lives parked, which counts

@@ -5,11 +5,12 @@
     garbled by the generator and evaluated on labels by the evaluator. Each
     AND gate costs two 128-bit ciphertexts; XOR and NOT are free.
 
-    Two key-derivation functions are supported: fixed-key AES-128 (the
-    default — the standard choice in MPC practice) and SHA-256.
+    Garbled rows are keyed by the fixed-key AES label hash of
+    {!Label_hash} (the standard choice in MPC practice): one kernel call
+    per AND gate hashes its four labels when garbling and its two when
+    evaluating, on AES-NI when the CPU has it.
 
-    The garble/eval inner loops are {e allocation-free} (under the AES
-    KDF): wire labels, half-gate tables, and output decode bits live in
+    The garble/eval inner loops are {e allocation-free}: wire labels, half-gate tables, and output decode bits live in
     [Bytes] planes accessed through unaligned native [int64] loads and
     stores, so no per-gate value is ever boxed — unlike [int64 array],
     whose every element store allocates a 3-word box on the minor heap
@@ -38,24 +39,8 @@ module Label = struct
     let l = random prg in
     { l with lo = Int64.logor l.lo 1L }
 
-  (** H(label, tweak): first 128 bits of SHA-256(hi || lo || tweak). *)
-  let hash t ~tweak =
-    let d = Sha256.digest_int64s [ t.hi; t.lo; tweak ] in
-    { hi = Bytes.get_int64_be d 0; lo = Bytes.get_int64_be d 8 }
-
-  (** Fixed-key AES hash (faster; the standard choice in MPC practice). *)
-  let hash_aes t ~tweak =
-    let hi, lo = Aes128.label_hash ~tweak (t.hi, t.lo) in
-    { hi; lo }
-
   let cond_xor cond a b = if cond then xor a b else a
 end
-
-(** Key-derivation function used for garbled rows. *)
-type kdf = Sha256_kdf | Aes128_kdf
-
-let hash_with kdf =
-  match kdf with Sha256_kdf -> Label.hash | Aes128_kdf -> Label.hash_aes
 
 (* Unaligned native-endian int64 access into the label planes. The layout
    convention everywhere below: wire [w]'s false (resp. active) label
@@ -66,25 +51,6 @@ let hash_with kdf =
    any platform. *)
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
-
-(* The plane-level hash: dst.(doff, doff+16) <- H(src.(soff, soff+16),
-   tweak). The AES branch is Aes128.label_hash_bytes under the
-   pre-expanded fixed schedule — fully unboxed, zero allocation per
-   call. The SHA branch allocates its digest (SHA-256 is the legacy KDF,
-   kept for differential coverage, not throughput). *)
-let bytes_hash kdf : tweak:int -> Bytes.t -> int -> Bytes.t -> int -> unit =
-  match kdf with
-  | Aes128_kdf ->
-      let sched = Aes128.fixed_key in
-      fun ~tweak src soff dst doff -> Aes128.label_hash_bytes sched ~tweak src soff dst doff
-  | Sha256_kdf ->
-      fun ~tweak src soff dst doff ->
-        let d =
-          Sha256.digest_int64s
-            [ get64u src soff; get64u src (soff + 8); Int64.of_int tweak ]
-        in
-        set64u dst doff (Bytes.get_int64_be d 0);
-        set64u dst (doff + 8) (Bytes.get_int64_be d 8)
 
 (** Per-domain scratch arena: every plane the garble/eval hot paths touch,
     grown geometrically and reused across batch items, so steady-state
@@ -99,7 +65,8 @@ module Arena = struct
     mutable decode : Bytes.t;   (** 1 B per output: color of the false label *)
     mutable colors : Bytes.t;   (** 1 B per output: color of the active label *)
     scratch : Bytes.t;
-        (** 48 B: one shifted label at 0, two hash outputs at 16 and 32 *)
+        (** 80 B: the {!Label_hash.hash4}/[hash2] outputs at 0..63, the
+            free-XOR offset Δ at 64 while garbling *)
   }
 
   let m_grows =
@@ -119,7 +86,7 @@ module Arena = struct
       tables = Bytes.create 0;
       decode = Bytes.create 0;
       colors = Bytes.create 0;
-      scratch = Bytes.create 48;
+      scratch = Bytes.create 80;
     }
 
   let key = Domain.DLS.new_key create
@@ -202,12 +169,10 @@ let m_garble_labels_per_s =
     With [?arena] the result's planes alias the arena and stay valid only
     until the next garble on the same arena (the batch engine's per-item
     lifetime); without it the result owns freshly allocated, exactly
-    sized planes. The inner loop allocates nothing either way (AES
-    KDF). *)
-let garble ?(kdf = Aes128_kdf) ?arena prg circuit =
+    sized planes. The inner loop allocates nothing either way. *)
+let garble ?arena prg circuit =
   let open Boolean_circuit in
   let t_start = if Secyan_metrics.enabled () then Unix.gettimeofday () else 0. in
-  let hash = bytes_hash kdf in
   (* Draw order matches Label.random_delta / Label.random: hi then lo. *)
   let delta_hi = Prg.next_int64 prg in
   let delta_lo = Int64.logor (Prg.next_int64 prg) 1L in
@@ -222,8 +187,10 @@ let garble ?(kdf = Aes128_kdf) ?arena prg circuit =
         ( Bytes.create (16 * n_wires),
           Bytes.create (32 * circuit.and_count),
           Bytes.create (max 1 n_outputs),
-          Bytes.create 48 )
+          Bytes.create 80 )
   in
+  set64u scratch 64 delta_hi;
+  set64u scratch 72 delta_lo;
   for i = 0 to circuit.n_inputs - 1 do
     set64u wires (16 * i) (Prg.next_int64 prg);
     set64u wires ((16 * i) + 8) (Prg.next_int64 prg)
@@ -243,31 +210,24 @@ let garble ?(kdf = Aes128_kdf) ?arena prg circuit =
       | And (x, y) ->
           let k = !and_idx in
           let j = 2 * k in
-          let j' = (2 * k) + 1 in
           let ax = 16 * x and by = 16 * y in
           let wa0_hi = get64u wires ax and wa0_lo = get64u wires (ax + 8) in
-          let wb0_hi = get64u wires by and wb0_lo = get64u wires (by + 8) in
+          let wb0_lo = get64u wires (by + 8) in
           let pa = Int64.to_int wa0_lo land 1 = 1 in
           let pb = Int64.to_int wb0_lo land 1 = 1 in
-          (* generator half-gate: ha0 = H(j, wa0), ha1 = H(j, wa0 ^ delta) *)
-          hash ~tweak:j wires ax scratch 16;
-          set64u scratch 0 (Int64.logxor wa0_hi delta_hi);
-          set64u scratch 8 (Int64.logxor wa0_lo delta_lo);
-          hash ~tweak:j scratch 0 scratch 32;
-          let ha0_hi = get64u scratch 16 and ha0_lo = get64u scratch 24 in
-          let ha1_hi = get64u scratch 32 and ha1_lo = get64u scratch 40 in
+          (* one kernel call: ha0 = H(j, wa0), ha1 = H(j, wa0 ^ delta),
+             hb0 = H(j + 1, wb0), hb1 = H(j + 1, wb0 ^ delta) *)
+          Label_hash.hash4 wires ax by ~tweak:j scratch;
+          let ha0_hi = get64u scratch 0 and ha0_lo = get64u scratch 8 in
+          let ha1_hi = get64u scratch 16 and ha1_lo = get64u scratch 24 in
           let tg_hi = Int64.logxor ha0_hi ha1_hi and tg_lo = Int64.logxor ha0_lo ha1_lo in
           let tg_hi = if pb then Int64.logxor tg_hi delta_hi else tg_hi in
           let tg_lo = if pb then Int64.logxor tg_lo delta_lo else tg_lo in
           let wg0_hi = if pa then Int64.logxor ha0_hi tg_hi else ha0_hi in
           let wg0_lo = if pa then Int64.logxor ha0_lo tg_lo else ha0_lo in
-          (* evaluator half-gate: hb0 = H(j', wb0), hb1 = H(j', wb0 ^ delta) *)
-          hash ~tweak:j' wires by scratch 16;
-          set64u scratch 0 (Int64.logxor wb0_hi delta_hi);
-          set64u scratch 8 (Int64.logxor wb0_lo delta_lo);
-          hash ~tweak:j' scratch 0 scratch 32;
-          let hb0_hi = get64u scratch 16 and hb0_lo = get64u scratch 24 in
-          let hb1_hi = get64u scratch 32 and hb1_lo = get64u scratch 40 in
+          (* evaluator half-gate from hb0 and hb1 *)
+          let hb0_hi = get64u scratch 32 and hb0_lo = get64u scratch 40 in
+          let hb1_hi = get64u scratch 48 and hb1_lo = get64u scratch 56 in
           let te_hi = Int64.logxor (Int64.logxor hb0_hi hb1_hi) wa0_hi in
           let te_lo = Int64.logxor (Int64.logxor hb0_lo hb1_lo) wa0_lo in
           let we0_hi = if pb then Int64.logxor hb0_hi (Int64.logxor te_hi wa0_hi) else hb0_hi in
@@ -308,7 +268,7 @@ let encode_input g i b =
 (* Half-gates evaluation over a preloaded active-label plane: wires 0 ..
    n_inputs-1 must already hold the active input labels. Shares the plane
    layout (and the zero-allocation property) with [garble]. *)
-let eval_plane hash g (wires : Bytes.t) (scratch : Bytes.t) =
+let eval_plane g (wires : Bytes.t) (scratch : Bytes.t) =
   let open Boolean_circuit in
   let circuit = g.circuit in
   let tables = g.tables in
@@ -328,18 +288,16 @@ let eval_plane hash g (wires : Bytes.t) (scratch : Bytes.t) =
           set64u wires (out + 8) (get64u wires ((16 * x) + 8))
       | And (x, y) ->
           let k = !and_idx in
-          let j = 2 * k in
-          let j' = (2 * k) + 1 in
           let ax = 16 * x and by = 16 * y in
           let wa_hi = get64u wires ax and wa_lo = get64u wires (ax + 8) in
           let sa = Int64.to_int wa_lo land 1 = 1 in
           let sb = Int64.to_int (get64u wires (by + 8)) land 1 = 1 in
           let tk = 32 * k in
-          hash ~tweak:j wires ax scratch 16;
-          let ha_hi = get64u scratch 16 and ha_lo = get64u scratch 24 in
+          (* one kernel call: ha = H(2k, wa), hb = H(2k + 1, wb) *)
+          Label_hash.hash2 wires ax by ~tweak:(2 * k) scratch;
+          let ha_hi = get64u scratch 0 and ha_lo = get64u scratch 8 in
           let wg_hi = if sa then Int64.logxor ha_hi (get64u tables tk) else ha_hi in
           let wg_lo = if sa then Int64.logxor ha_lo (get64u tables (tk + 8)) else ha_lo in
-          hash ~tweak:j' wires by scratch 16;
           let hb_hi = get64u scratch 16 and hb_lo = get64u scratch 24 in
           let we_hi =
             if sb then Int64.logxor hb_hi (Int64.logxor (get64u tables (tk + 16)) wa_hi)
@@ -355,10 +313,10 @@ let eval_plane hash g (wires : Bytes.t) (scratch : Bytes.t) =
     circuit.gates
 
 (** Evaluate on active labels; returns the active label of each output.
-    [kdf] must match the one used at garbling time. With [?arena] the
+    With [?arena] the
     evaluator wire plane comes from (and the call leaves state in) the
     arena; the returned labels are fresh boxed values either way. *)
-let eval_labels ?(kdf = Aes128_kdf) ?arena g (input_labels : Label.t array) =
+let eval_labels ?arena g (input_labels : Label.t array) =
   let circuit = g.circuit in
   if Array.length input_labels <> circuit.Boolean_circuit.n_inputs then
     invalid_arg
@@ -371,14 +329,14 @@ let eval_labels ?(kdf = Aes128_kdf) ?arena g (input_labels : Label.t array) =
     | Some a ->
         Arena.prepare_eval a ~n_wires ~n_outputs;
         (a.Arena.wires_e, a.Arena.scratch)
-    | None -> (Bytes.create (16 * n_wires), Bytes.create 48)
+    | None -> (Bytes.create (16 * n_wires), Bytes.create 80)
   in
   Array.iteri
     (fun i (l : Label.t) ->
       set64u wires (16 * i) l.Label.hi;
       set64u wires ((16 * i) + 8) l.Label.lo)
     input_labels;
-  eval_plane (bytes_hash kdf) g wires scratch;
+  eval_plane g wires scratch;
   Array.map
     (fun w -> { Label.hi = get64u wires (16 * w); lo = get64u wires ((16 * w) + 8) })
     circuit.Boolean_circuit.outputs
@@ -389,8 +347,8 @@ let eval_labels ?(kdf = Aes128_kdf) ?arena g (input_labels : Label.t array) =
     each ([1] = color set) in the arena's color plane — valid until the
     next eval on the same arena. No boxed label is created anywhere:
     together with [garble ~arena] this runs a whole item without a
-    single per-gate or per-wire heap allocation (AES KDF). *)
-let eval_colors ?(kdf = Aes128_kdf) ~arena g (bit : int -> bool) : Bytes.t =
+    single per-gate or per-wire heap allocation. *)
+let eval_colors ~arena g (bit : int -> bool) : Bytes.t =
   let circuit = g.circuit in
   let n_wires = Boolean_circuit.n_wires circuit in
   let n_outputs = Array.length circuit.Boolean_circuit.outputs in
@@ -407,7 +365,7 @@ let eval_colors ?(kdf = Aes128_kdf) ~arena g (bit : int -> bool) : Bytes.t =
       set64u wires ((16 * i) + 8) lo
     end
   done;
-  eval_plane (bytes_hash kdf) g wires arena.Arena.scratch;
+  eval_plane g wires arena.Arena.scratch;
   let colors = arena.Arena.colors in
   Array.iteri
     (fun oi w ->

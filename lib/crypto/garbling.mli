@@ -3,8 +3,11 @@
     ciphertexts per gate; XOR and NOT are free. This is the [Real] backend
     of {!Gc_protocol}.
 
-    The garble/eval inner loops are {e allocation-free} under the AES
-    KDF: wire labels, half-gate tables, and decode bits live in [Bytes]
+    Rows are keyed by the fixed-key AES hash of {!Label_hash}: one kernel
+    call per AND gate (four labels when garbling, two when evaluating),
+    on AES-NI when the CPU has it.
+
+    The garble/eval inner loops are {e allocation-free}: wire labels, half-gate tables, and decode bits live in [Bytes]
     planes accessed through unaligned native [int64] primitives — never
     in [int64 array], whose element stores box (DESIGN.md §14). Planes
     come from fresh per-call buffers by default, or from a per-domain
@@ -29,20 +32,8 @@ module Label : sig
   (** Free-XOR global offset, color bit forced to 1. *)
   val random_delta : Prg.t -> t
 
-  (** SHA-256-based key derivation: H(label, tweak). *)
-  val hash : t -> tweak:int64 -> t
-
-  (** Fixed-key AES-128 key derivation (faster; standard MPC practice). *)
-  val hash_aes : t -> tweak:int64 -> t
-
   val cond_xor : bool -> t -> t -> t
 end
-
-(** Key-derivation function used for garbled rows. The default throughout
-    is [Aes128_kdf] (the standard choice in MPC practice). *)
-type kdf = Sha256_kdf | Aes128_kdf
-
-val hash_with : kdf -> Label.t -> tweak:int64 -> Label.t
 
 (** Per-domain scratch arena for the garble/eval planes: grown
     geometrically, never shrunk, reused across items, so steady-state
@@ -87,7 +78,7 @@ type garbled = {
     result's planes alias the arena and stay valid only until the next
     garble on the same arena; without it the result owns fresh, exactly
     sized planes. *)
-val garble : ?kdf:kdf -> ?arena:Arena.t -> Prg.t -> Boolean_circuit.t -> garbled
+val garble : ?arena:Arena.t -> Prg.t -> Boolean_circuit.t -> garbled
 
 (** The label encoding bit [b] on input wire [i]. *)
 val encode_input : garbled -> int -> bool -> Label.t
@@ -96,18 +87,18 @@ val encode_input : garbled -> int -> bool -> Label.t
     generator's half of the Yao sharing of that output. *)
 val decode_bit : garbled -> int -> bool
 
-(** Evaluate on active labels; [kdf] must match garbling. With [?arena]
+(** Evaluate on active labels. With [?arena]
     the evaluator wire plane comes from the arena (the returned labels
     are fresh boxed values either way). *)
-val eval_labels : ?kdf:kdf -> ?arena:Arena.t -> garbled -> Label.t array -> Label.t array
+val eval_labels : ?arena:Arena.t -> garbled -> Label.t array -> Label.t array
 
 (** Select each input's active label by its cleartext bit ([bit i] is
     input wire [i]'s value), evaluate, and return the active color of
     every output — one byte per output, ['\001'] = color set — in the
     arena's color plane, valid until the next eval on the same arena.
     The batch hot path: with [garble ~arena] this runs a whole item with
-    no per-gate or per-wire allocation (AES KDF). *)
-val eval_colors : ?kdf:kdf -> arena:Arena.t -> garbled -> (int -> bool) -> Bytes.t
+    no per-gate or per-wire allocation. *)
+val eval_colors : arena:Arena.t -> garbled -> (int -> bool) -> Bytes.t
 
 (** Decode an output's active label to its cleartext bit. *)
 val decode_output : garbled -> out_index:int -> Label.t -> bool

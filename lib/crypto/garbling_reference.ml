@@ -18,18 +18,10 @@
 
 module Label = Garbling.Label
 
-(* The flat (plane-level) hash: tweak, hi, lo -> (hi, lo). The AES branch
-   captures the pre-expanded fixed schedule so the per-gate call does no
-   lazy checks or schedule lookups. *)
-let flat_hash (kdf : Garbling.kdf) : int64 -> int64 -> int64 -> int64 * int64 =
-  match kdf with
-  | Aes128_kdf ->
-      let sched = Aes128.fixed_key in
-      fun tweak hi lo -> Aes128.label_hash_with sched ~tweak (hi, lo)
-  | Sha256_kdf ->
-      fun tweak hi lo ->
-        let d = Sha256.digest_int64s [ hi; lo; tweak ] in
-        (Bytes.get_int64_be d 0, Bytes.get_int64_be d 8)
+(* The flat (plane-level) hash: tweak, hi, lo -> (hi, lo), always the
+   OCaml AES, so the differential against {!Garbling} also checks the
+   AES-NI kernel when that is the one {!Label_hash} runs. *)
+let hash tweak hi lo = Aes128.label_hash_with Aes128.fixed_key ~tweak (hi, lo)
 
 type garbled = {
   circuit : Boolean_circuit.t;
@@ -44,9 +36,8 @@ type garbled = {
   output_decode : bool array;  (** color of the false label of each output *)
 }
 
-let garble ?(kdf = Garbling.Aes128_kdf) prg circuit =
+let garble prg circuit =
   let open Boolean_circuit in
-  let hash = flat_hash kdf in
   (* Draw order matches Label.random_delta / Label.random: hi then lo. *)
   let delta_hi = Prg.next_int64 prg in
   let delta_lo = Int64.logor (Prg.next_int64 prg) 1L in
@@ -131,9 +122,8 @@ let encode_input g i b =
   else { Label.hi = g.input_hi.(i); lo = g.input_lo.(i) }
 
 (** Evaluate on active labels; returns the active label of each output. *)
-let eval_labels ?(kdf = Garbling.Aes128_kdf) g (input_labels : Label.t array) =
+let eval_labels g (input_labels : Label.t array) =
   let open Boolean_circuit in
-  let hash = flat_hash kdf in
   let circuit = g.circuit in
   if Array.length input_labels <> circuit.n_inputs then
     invalid_arg

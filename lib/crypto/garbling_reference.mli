@@ -2,8 +2,9 @@
     differential baseline for {!Garbling}'s unboxed kernels.
 
     Bit-identical to {!Garbling} by construction (same half-gates math,
-    same PRG draw order, same KDF tweak schedule) — the test suite
-    asserts this on randomized circuits, and [bench gc-perf] uses the
+    same PRG draw order, same hash tweak schedule) — the test suite
+    asserts this on randomized circuits; it always hashes with the OCaml
+    AES, so that differential also covers the AES-NI kernel, and [bench gc-perf] uses the
     module to measure the minor-heap allocation rate the unboxed rewrite
     removed. Not called by any production path; see DESIGN.md §14. *)
 
@@ -22,7 +23,7 @@ type garbled = {
   output_decode : bool array;  (** color of the false label of each output *)
 }
 
-val garble : ?kdf:Garbling.kdf -> Prg.t -> Boolean_circuit.t -> garbled
+val garble : Prg.t -> Boolean_circuit.t -> garbled
 val encode_input : garbled -> int -> bool -> Label.t
-val eval_labels : ?kdf:Garbling.kdf -> garbled -> Label.t array -> Label.t array
+val eval_labels : garbled -> Label.t array -> Label.t array
 val decode_output : garbled -> out_index:int -> Label.t -> bool

@@ -118,17 +118,16 @@ let account_executions ctx (bc : built) (sample_bits : (Party.t * bool) array) ~
 type bool_share = { alice_bit : bool; bob_bit : bool }
 
 let run_real ctx (bc : built) (input_bits : (Party.t * bool) array) : bool_share array =
-  let kdf = ctx.Context.gc_kdf in
   (* The executing domain's arena: garble writes its planes there and
      eval reuses them in place, so the whole item runs without per-gate
      or per-wire allocation; the planes are recycled by the next item on
      this domain (after the [bool_share]s below are built). *)
   let arena = Garbling.Arena.current () in
-  let g = Garbling.garble ~kdf ~arena ctx.Context.prg_alice bc.circuit in
+  let g = Garbling.garble ~arena ctx.Context.prg_alice bc.circuit in
   (* Bob's labels arrive via OT (accounted by the caller); functionally he
      receives exactly the label of his input bit — selecting the active
      label per input below is that exchange, collapsed into the plane. *)
-  let colors = Garbling.eval_colors ~kdf ~arena g (fun i -> snd input_bits.(i)) in
+  let colors = Garbling.eval_colors ~arena g (fun i -> snd input_bits.(i)) in
   Array.init
     (Boolean_circuit.n_outputs bc.circuit)
     (fun i ->
@@ -303,6 +302,14 @@ let prepare_item_ctxs ctx n : Context.t array =
   if n > n_cached then ctx.Context.batch_ctxs <- ctxs;
   ctxs
 
+(* Below this much known AND-gate work (items x AND gates per item) a
+   plain batch runs inline on the caller: waking the pool's workers and
+   meeting at the barrier costs more than the items' work saves. The
+   smallest power of two above every batch size at which a fan-out over
+   2, 4 or 8 domains lost to one domain, on either backend, in the
+   calibration of DESIGN.md §9. *)
+let inline_and_gates = 131_072
+
 (* Run [f] over the [n] independent batch items on the context's pool.
 
    Each item gets a private context (see [prepare_item_ctxs]): a noop
@@ -313,8 +320,14 @@ let prepare_item_ctxs ctx n : Context.t array =
    deltas are folded back into the parent context in one aggregated step
    per direction: sums are order-independent, so tallies, span counters,
    and listener totals are bit-identical for every pool size, including
-   1. Item code must not open spans (the item sink ignores them). *)
-let map_batch ctx ~n (f : Context.t -> int -> 'a) : 'a array =
+   1. Item code must not open spans (the item sink ignores them).
+
+   [and_gates] is the AND-gate count of one item: a plain batch whose
+   total is below [inline_and_gates] runs inline through the pool's
+   sequential path ({!Domain_pool.run_inline}), which spawns no worker
+   and charges the caller's timeline. Supervised batches always use the
+   workers. *)
+let map_batch ctx ~n ~and_gates (f : Context.t -> int -> 'a) : 'a array =
   if n = 0 then [||]
   else begin
     (* Phase-boundary check: a batch never starts under a fired token. *)
@@ -351,13 +364,18 @@ let map_batch ctx ~n (f : Context.t -> int -> 'a) : 'a array =
       match ctx.Context.supervisor with
       | None ->
           (* Plain path: item 0 runs on the caller — its result seeds the
-             array, so no per-item [Option] box — and the rest fan out
-             over the pool, which polls the cancel token per claim. *)
+             array, so no per-item [Option] box — and the rest run inline
+             or fan out over the pool, which polls the cancel token per
+             claim. *)
           let results = Array.make n (run_item 0) in
-          if n > 1 then
-            Domain_pool.run ~cancel:ctx.Context.cancel (Context.pool ctx)
-              ~n:(n - 1)
-              ~f:(fun i -> results.(i + 1) <- run_item (i + 1));
+          if n > 1 then begin
+            let run =
+              if n * and_gates < inline_and_gates then Domain_pool.run_inline
+              else Domain_pool.run
+            in
+            run ~cancel:ctx.Context.cancel (Context.pool ctx) ~n:(n - 1)
+              ~f:(fun i -> results.(i + 1) <- run_item (i + 1))
+          end;
           results
       | Some supervisor ->
           (* Supervised path: the caller watches heartbeats instead of
@@ -449,7 +467,8 @@ let eval_to_shares_batch ctx ~(items : input list array) ~build : Secret_share.t
     account_executions ctx bc all_bits.(0) ~times:(Array.length items);
     Comm.bump_rounds ctx.Context.comm 2;
     let results =
-      map_batch ctx ~n:(Array.length items) (fun ictx i ->
+      map_batch ctx ~n:(Array.length items) ~and_gates:(Boolean_circuit.and_count bc.circuit)
+        (fun ictx i ->
           let out_bits = run_with ictx bc all_bits.(i) in
           let words = slice_outputs bc.output_widths out_bits in
           Array.of_list (List.map (b2a ictx) words))
@@ -476,7 +495,8 @@ let eval_reveal_batch ctx ~to_ ~(items : input list array) ~build : int64 array 
     let n_out = Boolean_circuit.n_outputs bc.circuit in
     Comm.send ctx.Context.comm ~from:(Party.other to_) ~bits:(Array.length items * n_out);
     Comm.bump_rounds ctx.Context.comm 1;
-    map_batch ctx ~n:(Array.length items) (fun ictx i ->
+    map_batch ctx ~n:(Array.length items) ~and_gates:(Boolean_circuit.and_count bc.circuit)
+      (fun ictx i ->
         let out_bits = run_with ictx bc all_bits.(i) in
         let words = slice_outputs bc.output_widths out_bits in
         Array.of_list

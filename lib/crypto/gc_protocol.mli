@@ -39,6 +39,13 @@ val supervision_cause_to_string : supervision_cause -> string
 exception
   Supervision_error of { phase : string; item : int; cause : supervision_cause }
 
+(** Plain (unsupervised) batches whose known AND-gate work — items × AND
+    gates per item — is below this bound run inline on the caller,
+    through the pool's sequential path ({!Domain_pool.run_inline});
+    larger ones fan out over the pool. A constant calibrated on the
+    AES-NI kernel (DESIGN.md §9); results are bit-identical either way. *)
+val inline_and_gates : int
+
 (** Evaluate the same circuit over a batch of same-shaped input lists;
     every output word of every item becomes a fresh arithmetic share. *)
 val eval_to_shares_batch :

@@ -266,9 +266,9 @@ let test_garbling_matches_clear () =
     let circuit = random_circuit prg ~n_inputs:6 ~n_gates:40 in
     let inputs = Array.init 6 (fun _ -> Prg.bool prg) in
     let expected = Boolean_circuit.eval circuit inputs in
-    let g = Garbling.garble ~kdf:Garbling.Sha256_kdf prg circuit in
+    let g = Garbling.garble prg circuit in
     let labels = Array.mapi (fun i b -> Garbling.encode_input g i b) inputs in
-    let out_labels = Garbling.eval_labels ~kdf:Garbling.Sha256_kdf g labels in
+    let out_labels = Garbling.eval_labels g labels in
     let got = Array.mapi (fun i l -> Garbling.decode_output g ~out_index:i l) out_labels in
     Alcotest.(check (array bool)) "garbled = clear" expected got
   done
@@ -287,41 +287,40 @@ let test_garbling_label_privacy () =
 
 (* The unboxed Bytes-plane implementation is bit-identical to the boxed
    reference it replaced: same labels at the protocol boundary, same
-   decode bits, same evaluation — for both KDFs, on random circuits. *)
+   decode bits, same evaluation, on random circuits. The reference always
+   hashes with the OCaml AES, so on an AES-NI host this also checks the
+   C kernel through whole garble/eval runs. *)
 let test_garbling_unboxed_matches_reference () =
   let prg = Prg.create 123L in
-  List.iter
-    (fun kdf ->
-      for _trial = 1 to 10 do
-        let circuit = random_circuit prg ~n_inputs:6 ~n_gates:40 in
-        let inputs = Array.init 6 (fun _ -> Prg.bool prg) in
-        let seed = Prg.next_int64 prg in
-        let g = Garbling.garble ~kdf (Prg.create seed) circuit in
-        let r = Garbling_reference.garble ~kdf (Prg.create seed) circuit in
-        for i = 0 to 5 do
-          List.iter
-            (fun b ->
-              Alcotest.(check bool) "input labels identical" true
-                (Garbling.Label.equal (Garbling.encode_input g i b)
-                   (Garbling_reference.encode_input r i b)))
-            [ false; true ]
-        done;
-        let labels = Array.mapi (fun i b -> Garbling.encode_input g i b) inputs in
-        let out = Garbling.eval_labels ~kdf g labels in
-        let out_ref = Garbling_reference.eval_labels ~kdf r labels in
-        Array.iteri
-          (fun i l ->
-            Alcotest.(check bool) "output labels identical" true
-              (Garbling.Label.equal l out_ref.(i));
-            Alcotest.(check bool) "decode identical"
-              (Garbling_reference.decode_output r ~out_index:i out_ref.(i))
-              (Garbling.decode_output g ~out_index:i l))
-          out;
-        let expected = Boolean_circuit.eval circuit inputs in
-        Alcotest.(check (array bool)) "unboxed = clear" expected
-          (Array.mapi (fun i l -> Garbling.decode_output g ~out_index:i l) out)
-      done)
-    [ Garbling.Sha256_kdf; Garbling.Aes128_kdf ]
+  for _trial = 1 to 20 do
+    let circuit = random_circuit prg ~n_inputs:6 ~n_gates:40 in
+    let inputs = Array.init 6 (fun _ -> Prg.bool prg) in
+    let seed = Prg.next_int64 prg in
+    let g = Garbling.garble (Prg.create seed) circuit in
+    let r = Garbling_reference.garble (Prg.create seed) circuit in
+    for i = 0 to 5 do
+      List.iter
+        (fun b ->
+          Alcotest.(check bool) "input labels identical" true
+            (Garbling.Label.equal (Garbling.encode_input g i b)
+               (Garbling_reference.encode_input r i b)))
+        [ false; true ]
+    done;
+    let labels = Array.mapi (fun i b -> Garbling.encode_input g i b) inputs in
+    let out = Garbling.eval_labels g labels in
+    let out_ref = Garbling_reference.eval_labels r labels in
+    Array.iteri
+      (fun i l ->
+        Alcotest.(check bool) "output labels identical" true
+          (Garbling.Label.equal l out_ref.(i));
+        Alcotest.(check bool) "decode identical"
+          (Garbling_reference.decode_output r ~out_index:i out_ref.(i))
+          (Garbling.decode_output g ~out_index:i l))
+      out;
+    let expected = Boolean_circuit.eval circuit inputs in
+    Alcotest.(check (array bool)) "unboxed = clear" expected
+      (Array.mapi (fun i l -> Garbling.decode_output g ~out_index:i l) out)
+  done
 
 (* One arena across interleaved garble/eval of circuits of different
    shapes: the planes grow on the big circuit, then get reused (with
@@ -561,29 +560,70 @@ let gc_batch_expected ~n_items =
       let x = Prg.bits prg 16 and y = Prg.bits prg 16 in
       [| mask32 (Int64.mul x y); mask32 (Int64.add x y) |])
 
+(* Wide enough (at >= 1000 AND gates per item) that both batches exceed
+   the inline bound and fan out over the pool's workers. *)
+let n_parallel_items = (Gc_protocol.inline_and_gates / 1000) + 1
+
+(* Whether a worker slot (not the caller's slot 0) ran batch items. *)
+let workers_ran_items ctx =
+  List.exists
+    (fun tl -> tl.Domain_pool.domain > 0 && tl.Domain_pool.items > 0)
+    (Domain_pool.timelines (Context.pool ctx))
+
 let gc_run_instrumented ~domains ~backend =
+  let was_enabled = Secyan_metrics.enabled () in
+  Secyan_metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Secyan_metrics.set_enabled was_enabled) @@ fun () ->
   let ctx = Context.create ~gc_backend:backend ~domains ~seed:42L () in
   let sink, counts = Trace_sink.accumulator () in
   Context.set_sink ctx sink;
-  let shares, revealed = gc_batch_fixture ctx ~n_items:17 in
+  let shares, revealed = gc_batch_fixture ctx ~n_items:n_parallel_items in
   let tally = Comm.tally ctx.Context.comm in
+  let parallel = workers_ran_items ctx in
   Context.shutdown_pool ctx;
-  (shares, revealed, tally, counts)
+  (shares, revealed, tally, counts, parallel)
 
 let test_gc_parallel_deterministic () =
   List.iter
     (fun backend ->
-      let s0, r0, t0, c0 = gc_run_instrumented ~domains:1 ~backend in
-      Alcotest.(check bool) "values correct" true (r0 = gc_batch_expected ~n_items:17);
+      let s0, r0, t0, c0, _ = gc_run_instrumented ~domains:1 ~backend in
+      Alcotest.(check bool) "values correct" true
+        (r0 = gc_batch_expected ~n_items:n_parallel_items);
+      Alcotest.(check bool) "each batch exceeds the inline bound" true
+        (c0.(Trace_sink.counter_index Trace_sink.And_gates) / 2 >= Gc_protocol.inline_and_gates);
       List.iter
         (fun domains ->
-          let s1, r1, t1, c1 = gc_run_instrumented ~domains ~backend in
+          let s1, r1, t1, c1, parallel = gc_run_instrumented ~domains ~backend in
           Alcotest.(check bool) "shares bit-identical" true (s0 = s1);
           Alcotest.(check bool) "revealed values identical" true (r0 = r1);
           Alcotest.(check bool) "comm tally identical" true (Comm.equal t0 t1);
-          Alcotest.(check (array int)) "primitive counters identical" c0 c1)
+          Alcotest.(check (array int)) "primitive counters identical" c0 c1;
+          Alcotest.(check bool)
+            (Printf.sprintf "a worker slot ran items at %d domains" domains)
+            true parallel)
         [ 2; 4; 8 ])
     [ Context.Real; Context.Sim ]
+
+(* A batch below the inline bound runs on the caller through the pool's
+   sequential path: no worker starts, slot 0 is charged the items. *)
+let test_gc_small_batch_inline () =
+  let was_enabled = Secyan_metrics.enabled () in
+  Secyan_metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Secyan_metrics.set_enabled was_enabled) @@ fun () ->
+  let ctx = Context.create ~gc_backend:Context.Real ~domains:4 ~seed:42L () in
+  let _, revealed = gc_batch_fixture ctx ~n_items:5 in
+  Alcotest.(check bool) "values correct" true (revealed = gc_batch_expected ~n_items:5);
+  let tls = Domain_pool.timelines (Context.pool ctx) in
+  Context.shutdown_pool ctx;
+  List.iter
+    (fun tl ->
+      if tl.Domain_pool.domain = 0 then
+        Alcotest.(check int) "caller ran items 1..4 of both batches" 8 tl.Domain_pool.items
+      else begin
+        Alcotest.(check int) "worker ran nothing" 0 tl.Domain_pool.items;
+        Alcotest.(check (float 0.)) "worker never spawned" 0. tl.Domain_pool.wall_ns
+      end)
+    tls
 
 (* One context through batches of changing widths: the per-item context
    cache grows, gets reused as a prefix, and regrows; every batch must
@@ -600,30 +640,23 @@ let test_gc_batch_cache_reuse () =
     [ 5; 17; 3; 17; 1; 8 ];
   Context.shutdown_pool ctx
 
-let gc_run_with ~gc_backend ~gc_kdf =
-  let ctx = Context.create ~gc_backend ~gc_kdf ~seed:42L () in
+let gc_run_with ~gc_backend =
+  let ctx = Context.create ~gc_backend ~seed:42L () in
   let shares, revealed = gc_batch_fixture ctx ~n_items:13 in
   let reconstructed = Array.map (Array.map (Secret_share.reconstruct ctx)) shares in
   let tally = Comm.tally ctx.Context.comm in
   (reconstructed, revealed, tally)
 
-let test_gc_kdf_backend_agreement () =
-  let combos =
-    [
-      ("real/sha256", Context.Real, Garbling.Sha256_kdf);
-      ("real/aes128", Context.Real, Garbling.Aes128_kdf);
-      ("sim/sha256", Context.Sim, Garbling.Sha256_kdf);
-      ("sim/aes128", Context.Sim, Garbling.Aes128_kdf);
-    ]
-  in
-  let r0, v0, t0 = gc_run_with ~gc_backend:Context.Real ~gc_kdf:Garbling.Sha256_kdf in
-  List.iter
-    (fun (name, gc_backend, gc_kdf) ->
-      let r, v, t = gc_run_with ~gc_backend ~gc_kdf in
-      Alcotest.(check bool) (name ^ ": reconstructed outputs agree") true (r0 = r);
-      Alcotest.(check bool) (name ^ ": revealed outputs agree") true (v0 = v);
-      Alcotest.(check bool) (name ^ ": comm tallies agree") true (Comm.equal t0 t))
-    combos
+(* The Real backend (garbling on the host's label-hash kernel) and the
+   Sim backend (clear evaluation) agree on outputs and accounted cost. *)
+let test_gc_real_sim_agreement () =
+  let r_real, v_real, t_real = gc_run_with ~gc_backend:Context.Real in
+  let r_sim, v_sim, t_sim = gc_run_with ~gc_backend:Context.Sim in
+  Alcotest.(check bool) "revealed outputs correct" true
+    (v_real = gc_batch_expected ~n_items:13);
+  Alcotest.(check bool) "reconstructed outputs agree" true (r_real = r_sim);
+  Alcotest.(check bool) "revealed outputs agree" true (v_real = v_sim);
+  Alcotest.(check bool) "comm tallies agree" true (Comm.equal t_real t_sim)
 
 (* ------------------------------------------------------------------ *)
 (* Oblivious transfer *)
@@ -885,17 +918,125 @@ let test_aes_sbox () =
   Array.sort compare sorted;
   Alcotest.(check bool) "bijective" true (Array.to_list sorted = List.init 256 Fun.id)
 
+(* The FIPS-checked schedule is the one the AES-NI kernel loads. *)
+let test_aes_round_keys () =
+  let rk = Aes128.round_keys Aes128.fixed_key in
+  Alcotest.(check int) "176 bytes" 176 (Bytes.length rk);
+  Alcotest.(check string) "round 0 is the key" "000102030405060708090a0b0c0d0e0f"
+    (Sha256.to_hex (Bytes.sub rk 0 16));
+  (* FIPS 197 appendix C.1, round 10 key *)
+  Alcotest.(check string) "round 10" "13111d7fe3944a17f307a78b4d2b30c5"
+    (Sha256.to_hex (Bytes.sub rk 160 16))
+
+(* Random labels and tweaks for the kernel differentials: tweaks span
+   small gate indices, values above 2^32, negatives and the int extremes
+   (where [tweak + 1] wraps). *)
+let random_tweak prg i =
+  match i mod 4 with
+  | 0 -> Int64.to_int (Prg.bits prg 20)
+  | 1 -> Int64.to_int (Prg.bits prg 40) + (1 lsl 32)
+  | 2 -> Int64.to_int (Prg.next_int64 prg)
+  | _ -> if i land 8 = 0 then max_int else min_int
+
+let random_plane prg n =
+  let b = Bytes.create n in
+  for i = 0 to (n / 8) - 1 do
+    Bytes.set_int64_ne b (8 * i) (Prg.next_int64 prg)
+  done;
+  b
+
+(* Skip — loudly — when the host cannot run the AES-NI kernel: a pass
+   there would prove nothing about it. *)
+let require_aesni () =
+  if Label_hash.kernel <> Label_hash.Aes_ni then begin
+    Printf.printf "AES-NI kernel test skipped: %s\n%!" Label_hash.kernel_reason;
+    Alcotest.skip ()
+  end
+
+let test_kernel_matches_ocaml () =
+  require_aesni ();
+  let prg = Prg.create 31L in
+  let n = 100_000 in
+  let src = random_plane prg (16 * 64) in
+  let out_c = Bytes.create 16 and out_o = Bytes.create 16 in
+  for i = 1 to n do
+    let tweak = random_tweak prg i in
+    let off = 16 * (i land 63) in
+    Label_hash.hash1_with Label_hash.Aes_ni ~tweak src off out_c 0;
+    Label_hash.hash1_with Label_hash.Ocaml_aes ~tweak src off out_o 0;
+    if not (Bytes.equal out_c out_o) then
+      Alcotest.failf "label %d tweak %d: AES-NI %s, OCaml %s" i tweak (Sha256.to_hex out_c)
+        (Sha256.to_hex out_o);
+    (* in place: src == dst at the same offset *)
+    if i land 7 = 0 then begin
+      let inplace = Bytes.sub src off 16 in
+      Label_hash.hash1_with Label_hash.Aes_ni ~tweak inplace 0 inplace 0;
+      Alcotest.(check string) "in place = out of place" (Sha256.to_hex out_o)
+        (Sha256.to_hex inplace);
+      Bytes.blit out_o 0 src off 16
+    end
+  done;
+  Alcotest.(check bool) "the hot path runs the AES-NI kernel" true
+    (Label_hash.kernel = Label_hash.Aes_ni)
+
+(* [hash2]/[hash4] equal 2/4 single [hash1] calls of the same kernel
+   (and, with AES-NI, of the other kernel too). *)
+let test_kernel_multi_block () =
+  let kernels =
+    if Label_hash.kernel = Label_hash.Aes_ni then [ Label_hash.Aes_ni; Label_hash.Ocaml_aes ]
+    else [ Label_hash.Ocaml_aes ]
+  in
+  let prg = Prg.create 32L in
+  for i = 1 to 2_000 do
+    let src = random_plane prg (16 * 8) in
+    let a = 16 * (i land 7) and b = 16 * ((i * 5 + 3) land 7) in
+    let tweak = random_tweak prg i in
+    let delta = random_plane prg 16 in
+    let single k ~tweak label_off ~xor_delta =
+      let l = Bytes.sub src label_off 16 in
+      if xor_delta then
+        for w = 0 to 1 do
+          Bytes.set_int64_ne l (8 * w)
+            (Int64.logxor (Bytes.get_int64_ne l (8 * w)) (Bytes.get_int64_ne delta (8 * w)))
+        done;
+      let out = Bytes.create 16 in
+      Label_hash.hash1_with k ~tweak l 0 out 0;
+      Sha256.to_hex out
+    in
+    let expect4 =
+      [ single Label_hash.Ocaml_aes ~tweak a ~xor_delta:false;
+        single Label_hash.Ocaml_aes ~tweak a ~xor_delta:true;
+        single Label_hash.Ocaml_aes ~tweak:(tweak + 1) b ~xor_delta:false;
+        single Label_hash.Ocaml_aes ~tweak:(tweak + 1) b ~xor_delta:true ]
+    in
+    let chunks buf k = List.init k (fun j -> Sha256.to_hex (Bytes.sub buf (16 * j) 16)) in
+    List.iter
+      (fun k ->
+        let dst = Bytes.make 80 '\000' in
+        Bytes.blit delta 0 dst 64 16;
+        Label_hash.hash4_with k src a b ~tweak dst;
+        Alcotest.(check (list string)) "hash4 = 4 single calls" expect4 (chunks dst 4);
+        Alcotest.(check string) "hash4 leaves delta" (Sha256.to_hex delta)
+          (Sha256.to_hex (Bytes.sub dst 64 16));
+        let dst2 = Bytes.create 32 in
+        Label_hash.hash2_with k src a b ~tweak dst2;
+        Alcotest.(check (list string)) "hash2 = 2 single calls"
+          [ List.nth expect4 0; List.nth expect4 2 ]
+          (chunks dst2 2))
+      kernels
+  done
+
 let test_garbling_aes_kdf () =
   let prg = Prg.create 77L in
   for _trial = 1 to 20 do
     let circuit = random_circuit prg ~n_inputs:6 ~n_gates:40 in
     let inputs = Array.init 6 (fun _ -> Prg.bool prg) in
     let expected = Boolean_circuit.eval circuit inputs in
-    let g = Garbling.garble ~kdf:Garbling.Aes128_kdf prg circuit in
+    let g = Garbling.garble prg circuit in
     let labels = Array.mapi (fun i b -> Garbling.encode_input g i b) inputs in
-    let out_labels = Garbling.eval_labels ~kdf:Garbling.Aes128_kdf g labels in
+    let out_labels = Garbling.eval_labels g labels in
     let got = Array.mapi (fun i l -> Garbling.decode_output g ~out_index:i l) out_labels in
-    Alcotest.(check (array bool)) "AES-kdf garbling = clear" expected got
+    Alcotest.(check (array bool)) "AES garbling = clear" expected got
   done
 
 (* ------------------------------------------------------------------ *)
@@ -1456,7 +1597,7 @@ let () =
           Alcotest.test_case "sim backend" `Quick test_gc_sim;
           Alcotest.test_case "backends same cost" `Quick test_gc_backends_same_cost;
           Alcotest.test_case "reveal" `Quick test_gc_reveal;
-          Alcotest.test_case "kdf/backend agreement" `Quick test_gc_kdf_backend_agreement;
+          Alcotest.test_case "real/sim backend agreement" `Quick test_gc_real_sim_agreement;
         ]
         @ qsuite [ gc_random_agreement ] );
       ( "domain-pool",
@@ -1473,6 +1614,7 @@ let () =
           Alcotest.test_case "parallel batches deterministic" `Quick
             test_gc_parallel_deterministic;
           Alcotest.test_case "batch context cache reuse" `Quick test_gc_batch_cache_reuse;
+          Alcotest.test_case "small batches run inline" `Quick test_gc_small_batch_inline;
         ] );
       ( "oblivious-transfer",
         [
@@ -1497,6 +1639,12 @@ let () =
           Alcotest.test_case "FIPS vector" `Quick test_aes_fips_vector;
           Alcotest.test_case "sbox" `Quick test_aes_sbox;
           Alcotest.test_case "AES-kdf garbling" `Quick test_garbling_aes_kdf;
+          Alcotest.test_case "round keys" `Quick test_aes_round_keys;
+        ] );
+      ( "label-hash",
+        [
+          Alcotest.test_case "AES-NI kernel = OCaml AES" `Quick test_kernel_matches_ocaml;
+          Alcotest.test_case "2/4-block calls = single calls" `Quick test_kernel_multi_block;
         ] );
       ( "ot-extension",
         [

@@ -141,8 +141,9 @@ let test_parallel_batch_no_double_count () =
   Secyan_metrics.reset ();
   let ctx = Context.create ~gc_backend:Context.Real ~domains:2 ~seed () in
   let inp = Prg.create 5L in
+  (* wide enough (993 AND gates per item) to fan out over the workers *)
   let items =
-    Array.init 6 (fun _ ->
+    Array.init ((Gc_protocol.inline_and_gates / 993) + 1) (fun _ ->
         [
           Gc_protocol.Priv { owner = Party.Alice; value = Prg.bits inp 16; bits = 32 };
           Gc_protocol.Priv { owner = Party.Bob; value = Prg.bits inp 16; bits = 32 };
@@ -151,6 +152,12 @@ let test_parallel_batch_no_double_count () =
   let build b words = [ Circuits.mul_word b words.(0) words.(1) ] in
   let _ = Gc_protocol.eval_to_shares_batch ctx ~items ~build in
   let totals = Context.counter_totals ctx in
+  Alcotest.(check bool) "the batch exceeds the inline bound" true
+    (totals.(Trace_sink.counter_index Trace_sink.And_gates) >= Gc_protocol.inline_and_gates);
+  Alcotest.(check bool) "a worker slot ran items" true
+    (List.exists
+       (fun tl -> tl.Domain_pool.domain > 0 && tl.Domain_pool.items > 0)
+       (Domain_pool.timelines (Context.pool ctx)));
   Context.shutdown_pool ctx;
   let mirrored name =
     match (get_sample name).Secyan_metrics.value with

@@ -147,14 +147,30 @@ let test_topk_transports () =
       check_ordered ~ctx:(Queries.context ~transport:tr ~seed:99L ()) q)
     [ Secyan_net.Transport.inproc (); Secyan_net.Transport.tcp () ]
 
-(* pool sizes 1/2/4: ordered rows and comm tallies bit-identical *)
+(* pool sizes 1/2/4: ordered rows and comm tallies bit-identical; at 2
+   and 4 the query's widest batches exceed the inline bound, so workers
+   run items (read off the pool timelines, which need metrics on) *)
 let test_topk_domains_identical () =
   let q = Queries.q3 (xs ()) in
   let run domains =
+    let was_enabled = Secyan_metrics.enabled () in
+    Secyan_metrics.set_enabled true;
     let ctx = Queries.context ~domains ~seed:99L () in
-    Fun.protect ~finally:(fun () -> Secyan_crypto.Context.shutdown_pool ctx)
+    Fun.protect
+      ~finally:(fun () ->
+        Secyan_crypto.Context.shutdown_pool ctx;
+        Secyan_metrics.set_enabled was_enabled)
     @@ fun () ->
     let revealed, stats = Secyan.Secure_yannakakis.run ctx q in
+    let workers_ran =
+      List.exists
+        (fun tl ->
+          tl.Secyan_crypto.Domain_pool.domain > 0 && tl.Secyan_crypto.Domain_pool.items > 0)
+        (Secyan_crypto.Domain_pool.timelines (Secyan_crypto.Context.pool ctx))
+    in
+    if domains > 1 then
+      Alcotest.(check bool) (Printf.sprintf "a worker slot ran items at %d domains" domains)
+        true workers_ran;
     (ordered_content revealed, stats.Secyan.Secure_yannakakis.tally)
   in
   let r1, t1 = run 1 and r2, t2 = run 2 and r4, t4 = run 4 in
