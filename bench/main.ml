@@ -80,21 +80,22 @@ let record ~section ~query ~sf (p : series_point) ~phases =
       ]
     :: !bench_records
 
-let write_bench_json () =
-  let path = "BENCH_1.json" in
+(* Write one BENCH file, with [section] and the host's [cores] as
+   top-level fields when given. *)
+let write_bench_file ?section ~cores path records =
   let doc =
     Json.Obj
-      [
-        ("harness", Json.Str "secyan-bench");
-        ("seed", Json.Str (Int64.to_string seed));
-        ("records", Json.List (List.rev !bench_records));
-      ]
+      ([ ("harness", Json.Str "secyan-bench") ]
+      @ Option.to_list (Option.map (fun s -> ("section", Json.Str s)) section)
+      @ [ ("seed", Json.Str (Int64.to_string seed)) ]
+      @ (if cores then [ ("cores", Json.Int (Domain.recommended_domain_count ())) ] else [])
+      @ [ ("records", Json.List (List.rev records)) ])
   in
   let oc = open_out path in
   output_string oc (Json.to_string doc);
   output_char oc '\n';
   close_out oc;
-  line "wrote %s (%d records)" path (List.length !bench_records)
+  line "wrote %s (%d records)" path (List.length records)
 
 let print_series title points =
   hrule ();
@@ -531,48 +532,12 @@ let requested_domains = ref 1
 
 let bench2_records : Json.t list ref = ref []
 
-let write_bench2_json () =
-  let path = "BENCH_2.json" in
-  let doc =
-    Json.Obj
-      [
-        ("harness", Json.Str "secyan-bench");
-        ("section", Json.Str "gc-perf");
-        ("seed", Json.Str (Int64.to_string seed));
-        ("cores", Json.Int (Domain.recommended_domain_count ()));
-        ("records", Json.List (List.rev !bench2_records));
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  line "wrote %s (%d records)" path (List.length !bench2_records)
-
 (* Per-domain contention timelines and metrics overhead: records go to
    BENCH_6.json (EXPERIMENTS.md documents the schema). The timelines are
    the instrumented view of ROADMAP item 1 — where the wall-clock goes
    (busy vs queue-wait vs lock-wait) as the pool grows. *)
 
 let bench6_records : Json.t list ref = ref []
-
-let write_bench6_json () =
-  let path = "BENCH_6.json" in
-  let doc =
-    Json.Obj
-      [
-        ("harness", Json.Str "secyan-bench");
-        ("section", Json.Str "gc-perf");
-        ("seed", Json.Str (Int64.to_string seed));
-        ("cores", Json.Int (Domain.recommended_domain_count ()));
-        ("records", Json.List (List.rev !bench6_records));
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  line "wrote %s (%d records)" path (List.length !bench6_records)
 
 (* Allocation-free kernel proof and the domain-scaling sweep: records go
    to BENCH_7.json (EXPERIMENTS.md documents the schema). The cross-
@@ -582,24 +547,6 @@ let write_bench6_json () =
    diagnostics (DESIGN.md §14). *)
 
 let bench7_records : Json.t list ref = ref []
-
-let write_bench7_json () =
-  let path = "BENCH_7.json" in
-  let doc =
-    Json.Obj
-      [
-        ("harness", Json.Str "secyan-bench");
-        ("section", Json.Str "gc-perf");
-        ("seed", Json.Str (Int64.to_string seed));
-        ("cores", Json.Int (Domain.recommended_domain_count ()));
-        ("records", Json.List (List.rev !bench7_records));
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  line "wrote %s (%d records)" path (List.length !bench7_records)
 
 (* Bechamel OLS estimate for one run of [f], in nanoseconds. *)
 let ns_per_run name f =
@@ -968,23 +915,6 @@ let gc_perf () =
 
 let bench4_records : Json.t list ref = ref []
 
-let write_bench4_json () =
-  let path = "BENCH_4.json" in
-  let doc =
-    Json.Obj
-      [
-        ("harness", Json.Str "secyan-bench");
-        ("section", Json.Str "checkpoint-overhead");
-        ("seed", Json.Str (Int64.to_string seed));
-        ("records", Json.List (List.rev !bench4_records));
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  line "wrote %s (%d records)" path (List.length !bench4_records)
-
 let rm_rf_flat dir =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
@@ -1060,23 +990,6 @@ let checkpoint_overhead () =
 
 let bench5_records : Json.t list ref = ref []
 
-let write_bench5_json () =
-  let path = "BENCH_5.json" in
-  let doc =
-    Json.Obj
-      [
-        ("harness", Json.Str "secyan-bench");
-        ("section", Json.Str "fuzz-perf");
-        ("seed", Json.Str (Int64.to_string seed));
-        ("records", Json.List (List.rev !bench5_records));
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  line "wrote %s (%d records)" path (List.length !bench5_records)
-
 let fuzz_perf () =
   hrule ();
   line "Fuzz throughput: differential oracle and obliviousness audit";
@@ -1141,22 +1054,6 @@ let fuzz_perf () =
 
 let bench10_records : Json.t list ref = ref []
 
-let write_bench10_json () =
-  let path = "BENCH_10.json" in
-  let doc =
-    Json.Obj
-      [
-        ("harness", Json.Str "secyan-bench");
-        ("seed", Json.Str (Int64.to_string seed));
-        ("records", Json.List (List.rev !bench10_records));
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  line "wrote %s (%d records)" path (List.length !bench10_records)
-
 let sort_perf () =
   hrule ();
   line "oblivious sort / top-k: bitonic schedule cost vs n (DESIGN.md section 17)";
@@ -1208,6 +1105,9 @@ let sort_perf () =
   let run ~domains ~k n =
     settle ();
     let ctx = Context.create ~bits:32 ~domains ~seed () in
+    (* The pool spawns its workers on the first parallel batch: spawn them
+       here, untimed, so the timer sees only the sort. *)
+    if domains > 1 then Domain_pool.run (Context.pool ctx) ~n:domains ~f:ignore;
     let rows = make_rows ctx n in
     let before_tally = Comm.tally ctx.Context.comm in
     let before_ands = and_gates ctx in
@@ -1387,10 +1287,17 @@ let () =
       | Some f -> f ()
       | None -> line "unknown section %s" name)
     sections;
-  if !bench_records <> [] then write_bench_json ();
-  if !bench2_records <> [] then write_bench2_json ();
-  if !bench4_records <> [] then write_bench4_json ();
-  if !bench5_records <> [] then write_bench5_json ();
-  if !bench6_records <> [] then write_bench6_json ();
-  if !bench7_records <> [] then write_bench7_json ();
-  if !bench10_records <> [] then write_bench10_json ()
+  (* Each file keeps its own top-level fields: only some carry [section]
+     and [cores]. *)
+  List.iter
+    (fun (path, section, cores, records) ->
+      if !records <> [] then write_bench_file ?section ~cores path !records)
+    [
+      ("BENCH_1.json", None, false, bench_records);
+      ("BENCH_2.json", Some "gc-perf", true, bench2_records);
+      ("BENCH_4.json", Some "checkpoint-overhead", false, bench4_records);
+      ("BENCH_5.json", Some "fuzz-perf", false, bench5_records);
+      ("BENCH_6.json", Some "gc-perf", true, bench6_records);
+      ("BENCH_7.json", Some "gc-perf", true, bench7_records);
+      ("BENCH_10.json", None, false, bench10_records);
+    ]

@@ -253,7 +253,7 @@ let print_transport_stats = function
         s.Secyan_net.Resilient.corrupt_frames s.Secyan_net.Resilient.duplicates_dropped
 
 (* Run [f] under a tracer when requested and export the resulting span
-   tree; untraced runs call [f] directly (no sink installed at all). *)
+   tree; untraced runs call [f] directly (no observer attached at all). *)
 let traced ?(name = "query") trace trace_out ctx f =
   match trace with
   | None -> f ()
@@ -368,8 +368,7 @@ let run_cmd query scale sf seed backend domains transport chaos chaos_seed malic
   in
   if metrics <> None then Secyan_obs.Metrics.set_enabled true;
   (* Attach the per-phase GC sampler and the live progress reporter
-     around one protocol execution (inside the tracer, so both wrappers
-     forward events to it); detach in reverse attach order. *)
+     around one protocol execution. *)
   let observed ?total f =
     let sampler =
       if metrics <> None then Some (Secyan_obs.Profile.attach_gc_sampler ctx) else None

@@ -19,12 +19,9 @@ type t = {
   mutable alice_to_bob : int;
   mutable bob_to_alice : int;
   mutable rounds : int;
-  (* Listener hooks, None (no-op) by default: a tracer subscribes to
-     attribute traffic to its active span. Kept as options so the
-     untraced [send] hot path pays exactly one branch and allocates
-     nothing. *)
-  mutable send_listener : (from:Party.t -> bits:int -> unit) option;
-  mutable rounds_listener : (int -> unit) option;
+  (* The run's observers, in attach order; empty by default, so the
+     untraced [send] pays one empty-list match and allocates nothing. *)
+  mutable observers : Trace_sink.t list;
   (* The physical channel, None (pure accounting) by default: when a real
      transport is attached to the context, every [send] additionally moves
      a payload of the declared size over it. The tally above is updated
@@ -40,32 +37,15 @@ type t = {
 
 let create () =
   { alice_to_bob = 0; bob_to_alice = 0; rounds = 0;
-    send_listener = None; rounds_listener = None; wire = None; schema = None }
+    observers = []; wire = None; schema = None }
 
-(** Subscribe to (with [Some f]) or unsubscribe from (with [None]) every
-    subsequent [send] event. At most one listener at a time — subscribing
-    over a live listener raises instead of silently replacing it, so two
-    tracers cannot fight over one channel unnoticed.
-    @raise Invalid_argument if a listener is already attached. *)
-let on_send t listener =
-  (match (listener, t.send_listener) with
-  | Some _, Some _ ->
-      invalid_arg
-        "Comm.on_send: a send listener is already attached (at most one at a time; \
-         unsubscribe it first with on_send t None)"
-  | _ -> ());
-  t.send_listener <- listener
+(** Add an observer; it sees every later event. *)
+let attach t o = t.observers <- t.observers @ [ o ]
 
-(** Like [on_send], for [bump_rounds] events.
-    @raise Invalid_argument if a listener is already attached. *)
-let on_rounds t listener =
-  (match (listener, t.rounds_listener) with
-  | Some _, Some _ ->
-      invalid_arg
-        "Comm.on_rounds: a rounds listener is already attached (at most one at a time; \
-         unsubscribe it first with on_rounds t None)"
-  | _ -> ());
-  t.rounds_listener <- listener
+(** Remove an observer (physical equality); no-op if it is not attached. *)
+let detach t o = t.observers <- List.filter (fun x -> x != o) t.observers
+
+let observers t = t.observers
 
 (** Attach (or with [None] detach) the physical channel behind [send].
     @raise Invalid_argument if a wire is already attached. *)
@@ -89,7 +69,10 @@ let send t ~from ~bits =
   (match (from : Party.t) with
   | Alice -> t.alice_to_bob <- t.alice_to_bob + bits
   | Bob -> t.bob_to_alice <- t.bob_to_alice + bits);
-  (match t.send_listener with None -> () | Some f -> f ~from ~bits);
+  (* The list is read once, so an observer may detach itself mid-event. *)
+  (match t.observers with
+  | [] -> ()
+  | os -> List.iter (fun o -> o.Trace_sink.send ~from ~bits) os);
   match t.wire with
   | None -> ()
   | Some f ->
@@ -104,13 +87,13 @@ let send t ~from ~bits =
     this by their (constant) round count. *)
 let bump_rounds t n =
   t.rounds <- t.rounds + n;
-  match t.rounds_listener with None -> () | Some f -> f n
+  match t.observers with [] -> () | os -> List.iter (fun o -> o.Trace_sink.rounds n) os
 
 let tally t =
   { alice_to_bob_bits = t.alice_to_bob; bob_to_alice_bits = t.bob_to_alice; rounds = t.rounds }
 
-(** Zero the counters in place, keeping listeners and wire attached.
-    Listeners do not fire — this is bookkeeping for channel reuse (the GC
+(** Zero the counters in place, keeping observers and wire attached.
+    Observers do not fire — this is bookkeeping for channel reuse (the GC
     batch engine recycles per-item channels across batches), not
     traffic. *)
 let reset t =
@@ -118,7 +101,7 @@ let reset t =
   t.bob_to_alice <- 0;
   t.rounds <- 0
 
-(** Overwrite the counters with an absolute tally. Listeners and the wire
+(** Overwrite the counters with an absolute tally. Observers and the wire
     do not fire: this is state restoration (checkpoint resume), not
     traffic. *)
 let restore t (tally : tally) =

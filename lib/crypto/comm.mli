@@ -16,7 +16,7 @@ type t
 val create : unit -> t
 
 (** Account [bits] sent by [from] to the other party. [bits = 0] is legal
-    and a no-op on the tally (listeners still fire). When a wire is
+    and a no-op on the tally (observers still fire). When a wire is
     attached (see {!set_wire}) the send additionally moves a payload of
     the declared size over the physical channel — after the tally update,
     which depends on the declared bit count alone, so accounting is
@@ -27,21 +27,21 @@ val send : t -> from:Party.t -> bits:int -> unit
 (** Declare [n] additional communication rounds. *)
 val bump_rounds : t -> int -> unit
 
-(** [on_send t (Some f)] subscribes [f] to every subsequent {!send} event
-    (after the tally is updated); [on_send t None] unsubscribes. At most
-    one listener at a time — subscribing while one is attached raises
-    rather than silently replacing it. The default is no listener, in
-    which case {!send} pays exactly one extra branch and allocates
-    nothing. A listener may detach itself (or attach a successor) from
-    inside its own callback: the channel reads the subscription once per
-    event, before invoking it. Used by the tracing layer to attribute
-    traffic to its active span.
-    @raise Invalid_argument if a send listener is already attached. *)
-val on_send : t -> (from:Party.t -> bits:int -> unit) option -> unit
+(** Add an observer of this channel's run: it sees every later
+    {!send} and {!bump_rounds} (after the tally is updated), and every
+    span and counter event that [Context] announces. Observers fire in
+    attach order. With none attached, each event costs one empty-list
+    match and allocates nothing. *)
+val attach : t -> Trace_sink.t -> unit
 
-(** Like {!on_send}, for {!bump_rounds} events.
-    @raise Invalid_argument if a rounds listener is already attached. *)
-val on_rounds : t -> (int -> unit) option -> unit
+(** Remove an observer, compared by physical equality; no-op if it is not
+    attached. The observer list is read once per event, so an observer
+    may detach itself (or attach another) from inside a callback; the
+    change takes effect from the next event. *)
+val detach : t -> Trace_sink.t -> unit
+
+(** The attached observers, in attach order. *)
+val observers : t -> Trace_sink.t list
 
 (** Attach (or with [None] detach) the physical channel behind {!send}:
     the callback receives every send after accounting and is expected to
@@ -64,13 +64,13 @@ val schema : t -> Protocol_schema.t option
 
 val tally : t -> tally
 
-(** Zero the counters in place (listeners and wire stay attached and do
+(** Zero the counters in place (observers and wire stay attached and do
     not fire): channel reuse, not traffic. The GC batch engine recycles
     per-item channels across batches with this. *)
 val reset : t -> unit
 
 (** Overwrite the counters with an absolute tally, e.g. one captured in a
-    checkpoint. Listeners and the wire do not fire — this is state
+    checkpoint. Observers and the wire do not fire — this is state
     restoration, not traffic. *)
 val restore : t -> tally -> unit
 val diff : tally -> tally -> tally

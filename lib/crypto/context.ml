@@ -23,12 +23,10 @@ type t = {
   prg_alice : Prg.t;
   prg_bob : Prg.t;
   dealer : Prg.t;
-  mutable sink : Trace_sink.t;
-      (** observability sink; {!Trace_sink.noop} unless a tracer attached *)
   counters : int array;
       (** running totals of every {!Trace_sink.counter} (indexed by
           [Trace_sink.counter_index]), maintained by {!bump} whether or
-          not a tracer is attached — the context's own account of its
+          not an observer is attached — the context's own account of its
           primitive work, snapshotted into checkpoints *)
   transport : Secyan_net.Resilient.t option;
       (** the physical channel behind [comm], if any; [None] keeps the
@@ -52,7 +50,7 @@ type t = {
           barriers *)
   mutable current_label : string;
       (** the innermost span name ([with_span] maintains it even when no
-          tracer is attached) — names the protocol phase in [Cancelled]
+          observer is attached) — names the protocol phase in [Cancelled]
           and [Supervision_error] *)
   schema : Protocol_schema.t option;
       (** the protocol state machine guarding the attached transport
@@ -61,21 +59,21 @@ type t = {
           received payload against it *)
 }
 
-(** Bump a typed primitive counter: always added to the context's running
-    totals, forwarded to the active span when a tracer is attached, and
-    mirrored into the metrics registry when metrics are enabled. *)
-let bump t counter n =
-  let i = Trace_sink.counter_index counter in
-  t.counters.(i) <- t.counters.(i) + n;
-  t.sink.Trace_sink.bump counter n;
-  Trace_sink.registry_bump counter n
-
-(* Totals + sink only, no registry mirror: for folding in work that a
-   parallel item context already mirrored when it did the work. *)
+(* Totals + observers only, no registry mirror: for folding in work that
+   a parallel item context already mirrored when it did the work. *)
 let bump_merged t counter n =
   let i = Trace_sink.counter_index counter in
   t.counters.(i) <- t.counters.(i) + n;
-  t.sink.Trace_sink.bump counter n
+  match Comm.observers t.comm with
+  | [] -> ()
+  | os -> List.iter (fun o -> o.Trace_sink.bump counter n) os
+
+(** Bump a typed primitive counter: always added to the context's running
+    totals, announced to the attached observers, and mirrored into the
+    metrics registry when metrics are enabled. *)
+let bump t counter n =
+  bump_merged t counter n;
+  Trace_sink.registry_bump counter n
 
 (* With a transport attached, every [Comm.send] moves a payload of the
    declared size over the real channel. The payload content is a fixed
@@ -136,7 +134,6 @@ let create ?(bits = 32) ?(kappa = 128) ?(sigma = 40) ?(gc_backend = Sim)
       prg_alice = Prg.split master;
       prg_bob = Prg.split master;
       dealer = Prg.split master;
-      sink = Trace_sink.noop;
       counters = Array.make Trace_sink.n_counters 0;
       transport;
       checkpoint;
@@ -153,9 +150,9 @@ let create ?(bits = 32) ?(kappa = 128) ?(sigma = 40) ?(gc_backend = Sim)
       Secyan_net.Resilient.set_cancel tr (Some cancel);
       Comm.set_wire t.comm (Some (wire_of ~schema tr));
       Comm.set_schema t.comm schema;
-      (* Resilience events surface as typed counters of whatever sink is
-         attached when they fire (the closure reads [t.sink] per event,
-         so tracers attached later still see them). *)
+      (* Resilience events surface as typed counters of whatever
+         observers are attached when they fire, so tracers attached later
+         still see them. *)
       Secyan_net.Resilient.set_listener tr
         (Some
            (fun ev ->
@@ -183,9 +180,7 @@ let pool_opt t = if Lazy.is_val t.pool then Some (Lazy.force t.pool) else None
     contexts should release the domains promptly. *)
 let shutdown_pool t = if Lazy.is_val t.pool then Domain_pool.shutdown (Lazy.force t.pool)
 
-let set_sink t sink = t.sink <- sink
-
-let traced t = t.sink != Trace_sink.noop
+let traced t = Comm.observers t.comm <> []
 
 (** Replace the context's cancel token (e.g. per query on a long-lived
     context) and re-point the attached transport at it. *)
@@ -199,53 +194,42 @@ let set_cancel t cancel =
     current protocol phase if it has fired. The phase-boundary check. *)
 let check_cancel t = Deadline.check ~where:t.current_label t.cancel
 
-(** Run [f] inside a span named [name] of the attached tracer; when no
-    tracer is attached this is just [f ()] plus phase-label maintenance
-    (so cancellation errors can always name their phase). The span is
-    closed, and the label restored, even when [f] raises. The sink never
-    draws randomness, so tracing cannot perturb the protocol
-    transcript. *)
+(* Close a span opened by [with_span]: the observers that saw it open see
+   it close, then the schema and the label are restored. Top-level so the
+   untraced path allocates no closure. *)
+let leave_span t os prev =
+  (match os with [] -> () | os -> List.iter (fun o -> o.Trace_sink.exit ()) os);
+  (match t.schema with None -> () | Some s -> Protocol_schema.leave s);
+  t.current_label <- prev
+
+(** Run [f] inside a span named [name], announced to the attached
+    observers; when none is attached this is just [f ()] plus phase-label
+    maintenance (so cancellation errors can always name their phase). The
+    span is closed, and the label restored, even when [f] raises.
+    Observers never draw randomness, so observing cannot perturb the
+    protocol transcript. *)
 let with_span t name f =
   let prev = t.current_label in
   t.current_label <- name;
   (* The protocol state machine tracks phases by the same span discipline
-     the label does — entered here, restored on every exit path below. *)
+     the label does — entered here, restored on every exit path. *)
   (match t.schema with None -> () | Some s -> Protocol_schema.enter s name);
-  let leave_schema () =
-    match t.schema with None -> () | Some s -> Protocol_schema.leave s
-  in
-  let sink = t.sink in
-  if sink == Trace_sink.noop then (
-    match f () with
-    | r ->
-        leave_schema ();
-        t.current_label <- prev;
-        r
-    | exception e ->
-        leave_schema ();
-        t.current_label <- prev;
-        raise e)
-  else begin
-    sink.Trace_sink.enter name;
-    match f () with
-    | r ->
-        sink.Trace_sink.exit ();
-        leave_schema ();
-        t.current_label <- prev;
-        r
-    | exception e ->
-        sink.Trace_sink.exit ();
-        leave_schema ();
-        t.current_label <- prev;
-        raise e
-  end
+  let os = Comm.observers t.comm in
+  (match os with [] -> () | os -> List.iter (fun o -> o.Trace_sink.enter name) os);
+  match f () with
+  | r ->
+      leave_span t os prev;
+      r
+  | exception e ->
+      leave_span t os prev;
+      raise e
 
 (** A copy of the context's counter totals (index by
     [Trace_sink.counter_index]). *)
 let counter_totals t = Array.copy t.counters
 
 (** Overwrite the counter totals with previously captured values
-    (checkpoint resume). The sink does not fire: restored work already
+    (checkpoint resume). Observers do not fire: restored work already
     happened, in the run being resumed. *)
 let restore_counters t totals =
   if Array.length totals <> Trace_sink.n_counters then
@@ -255,8 +239,8 @@ let restore_counters t totals =
   Array.blit totals 0 t.counters 0 Trace_sink.n_counters
 
 (** Fold a private counter delta (e.g. a parallel worker's) into this
-    context: totals and the attached tracer both see one bump per nonzero
-    counter. Call from the domain that owns the context. The metrics
+    context: totals and the attached observers both see one bump per
+    nonzero counter. Call from the domain that owns the context. The metrics
     registry is deliberately {e not} re-bumped: the item context that did
     the work already mirrored it there. *)
 let merge_counters t (counts : int array) =

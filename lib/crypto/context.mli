@@ -19,12 +19,10 @@ type t = {
   prg_alice : Prg.t;
   prg_bob : Prg.t;
   dealer : Prg.t;
-  mutable sink : Trace_sink.t;
-      (** observability sink; {!Trace_sink.noop} unless a tracer attached *)
   counters : int array;
       (** running totals of every {!Trace_sink.counter} (indexed by
           [Trace_sink.counter_index]), maintained by {!bump} whether or
-          not a tracer is attached; snapshotted into checkpoints *)
+          not an observer is attached; snapshotted into checkpoints *)
   transport : Secyan_net.Resilient.t option;
       (** the physical channel behind [comm], if any; [None] keeps the
           classic pure-accounting simulation *)
@@ -99,10 +97,8 @@ val prg_of : t -> Party.t -> Prg.t
 
 val ring_bits : t -> int
 
-(** Replace the observability sink (tracers attach/detach through this). *)
-val set_sink : t -> Trace_sink.t -> unit
-
-(** Whether a non-noop sink is attached. *)
+(** Whether any observer is attached to the context's channel (see
+    [Comm.attach]). *)
 val traced : t -> bool
 
 (** Replace the cancel token (e.g. per query on a long-lived context)
@@ -114,12 +110,13 @@ val set_cancel : t -> Deadline.t -> unit
     enough to call per operator. *)
 val check_cancel : t -> unit
 
-(** Run [f] inside a span named [name] of the attached tracer; just
-    [f ()] when untraced. The span closes even if [f] raises. *)
+(** Run [f] inside a span named [name], announced to the attached
+    observers; just [f ()] when none is attached. The span closes even if
+    [f] raises, for every observer that saw it open. *)
 val with_span : t -> string -> (unit -> 'a) -> 'a
 
 (** Bump a typed primitive counter: always added to the context's running
-    totals, and forwarded to the active span when a tracer is attached. *)
+    totals, and announced to the attached observers. *)
 val bump : t -> Trace_sink.counter -> int -> unit
 
 (** A copy of the context's counter totals (index with
@@ -127,13 +124,13 @@ val bump : t -> Trace_sink.counter -> int -> unit
 val counter_totals : t -> int array
 
 (** Overwrite the counter totals with previously captured values
-    (checkpoint resume). The sink does not fire — restored work already
+    (checkpoint resume). Observers do not fire — restored work already
     happened, in the run being resumed.
     @raise Invalid_argument on a wrong-length array. *)
 val restore_counters : t -> int array -> unit
 
 (** Fold a private counter delta (e.g. a parallel worker's) into this
-    context: totals and the attached tracer both see one bump per
+    context: totals and the attached observers both see one bump per
     nonzero counter. Call from the domain that owns the context. *)
 val merge_counters : t -> int array -> unit
 

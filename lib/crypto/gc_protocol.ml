@@ -282,8 +282,7 @@ let prepare_item_ctxs ctx n : Context.t array =
           Array.fill c.Context.counters 0 Trace_sink.n_counters 0;
           { ctx with Context.comm = c.Context.comm;
             prg_alice = c.Context.prg_alice; prg_bob = c.Context.prg_bob;
-            dealer = c.Context.dealer; sink = Trace_sink.noop;
-            counters = c.Context.counters; batch_ctxs = c.Context.batch_ctxs;
+            dealer = c.Context.dealer; counters = c.Context.counters; batch_ctxs = c.Context.batch_ctxs;
             schema = None }
         end
         else begin
@@ -293,8 +292,8 @@ let prepare_item_ctxs ctx n : Context.t array =
           (* [schema = None]: item channels have no wire, and workers must
              not touch the shared state machine from their own domains. *)
           { ctx with Context.comm = Comm.create (); prg_alice; prg_bob; dealer;
-            sink = Trace_sink.noop; counters = Array.make Trace_sink.n_counters 0;
-            batch_ctxs = [||]; schema = None }
+            counters = Array.make Trace_sink.n_counters 0; batch_ctxs = [||];
+            schema = None }
         end)
   in
   (* Never shrink the cache: a smaller batch recycles a prefix and leaves
@@ -312,15 +311,15 @@ let inline_and_gates = 131_072
 
 (* Run [f] over the [n] independent batch items on the context's pool.
 
-   Each item gets a private context (see [prepare_item_ctxs]): a noop
-   sink, and private channel/PRGs/counters whose state is a function of
+   Each item gets a private context (see [prepare_item_ctxs]): a private
+   channel with no observers, and private PRGs/counters whose state is a function of
    the item index alone. Item 0 runs on the caller — its result seeds the
    result array, so no [Option] box is ever created per item — and the
    remaining items fan out over the pool. After the barrier the private
    deltas are folded back into the parent context in one aggregated step
    per direction: sums are order-independent, so tallies, span counters,
-   and listener totals are bit-identical for every pool size, including
-   1. Item code must not open spans (the item sink ignores them).
+   and observer totals are bit-identical for every pool size, including
+   1. Item code must not open spans (no observer sees them).
 
    [and_gates] is the AND-gate count of one item: a plain batch whose
    total is below [inline_and_gates] runs inline through the pool's

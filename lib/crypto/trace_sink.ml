@@ -1,23 +1,22 @@
-(** The hook interface between the protocol substrate and an observability
-    layer living above it.
+(** The observer interface between the protocol substrate and an
+    observability layer living above it.
 
     The crypto library cannot depend on the tracing library (the tracer
     needs [Context] and [Comm]), so the coupling is inverted: every
-    [Context.t] carries a sink — a record of callbacks — that defaults to
-    {!noop}. Primitives announce span boundaries and bump typed counters
-    through the sink; an attached tracer replaces it with recording
-    closures. Untraced runs pay one physical-equality check per span and a
-    call to a shared no-op closure per counter bump — no allocation. *)
+    [Comm.t] carries a list of observers — records of callbacks — that is
+    empty by default. [Context.with_span] announces span boundaries,
+    [Context.bump] typed counters, and [Comm.send] / [Comm.bump_rounds]
+    traffic to each attached observer in turn. Untraced runs pay one
+    empty-list match per event and allocate nothing. *)
 
 (** Typed event counters bumped by the primitives. Semantics:
 
     - [And_gates]: AND gates garbled (or cost-equivalently simulated) by
       the GC protocol, summed over every execution of every batch.
-    - [Ots]: 1-out-of-2 oblivious transfers executed or accounted —
-      evaluator-input OTs of the GC protocol, the OTs underlying B2A
-      conversion, and real {!Ot_extension} transfers. OEP switches are
-      also realized by one OT each but are counted separately as
-      [Oep_switches], never double-counted here.
+    - [Ots]: 1-out-of-2 oblivious transfers accounted by the cost model —
+      evaluator-input OTs of the GC protocol and the OTs underlying B2A
+      conversion. OEP switches are also realized by one OT each but are
+      counted separately as [Oep_switches], never double-counted here.
     - [Oep_switches]: switches of programmed permutation networks
       (Benes + duplication layer) evaluated obliviously.
     - [Cuckoo_bins]: cuckoo bins processed by circuit-PSI (the batched
@@ -116,38 +115,20 @@ let registry_bump c n =
     Secyan_metrics.add (Lazy.force registry_counters).(counter_index c) n
 
 type t = {
-  enter : string -> unit;  (** open a child span under the active span *)
-  exit : unit -> unit;     (** close the active span *)
-  bump : counter -> int -> unit;  (** add to a counter of the active span *)
+  enter : string -> unit;  (** a span opens under the active span *)
+  exit : unit -> unit;     (** the active span closes *)
+  bump : counter -> int -> unit;  (** a counter of the active span grows *)
+  send : from:Party.t -> bits:int -> unit;  (** a transfer, after the tally *)
+  rounds : int -> unit;    (** communication rounds, after the tally *)
 }
 
-(** The default sink: does nothing. Compared with [==] by fast paths, so
-    keep this the unique physical no-op value. *)
-let noop = { enter = (fun _ -> ()); exit = (fun () -> ()); bump = (fun _ _ -> ()) }
-
-(** A private accumulator sink and its backing array (indexed by
-    {!counter_index}): bumps add to the array; span boundaries are
-    ignored, so the code running under it must not open spans. Used by
-    the parallel batch engine to give each worker a domain-private
-    counter delta that the caller later folds into the real sink with
-    {!merge_into} — the recording sink itself is only ever touched by
-    the domain that owns the trace. *)
-let accumulator () =
-  let counts = Array.make n_counters 0 in
-  let sink =
-    {
-      enter = (fun _ -> ());
-      exit = (fun () -> ());
-      bump = (fun c n -> counts.(counter_index c) <- counts.(counter_index c) + n);
-    }
-  in
-  (sink, counts)
-
-(** Fold an accumulated counter delta into [sink], one bump per nonzero
-    counter. Call it from the domain that owns [sink]. *)
-let merge_into sink (counts : int array) =
-  List.iter
-    (fun c ->
-      let n = counts.(counter_index c) in
-      if n <> 0 then sink.bump c n)
-    all_counters
+(** The observer that ignores every event: the base of [{ noop with ... }]
+    observers that watch only some events. *)
+let noop =
+  {
+    enter = (fun _ -> ());
+    exit = (fun () -> ());
+    bump = (fun _ _ -> ());
+    send = (fun ~from:_ ~bits:_ -> ());
+    rounds = (fun _ -> ());
+  }

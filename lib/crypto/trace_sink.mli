@@ -1,13 +1,12 @@
-(** Hook interface between the protocol substrate and an observability
-    layer above it: each {!Context.t} carries a sink (default {!noop})
-    through which primitives announce span boundaries and bump typed
-    counters. A tracer attaches by replacing the sink with recording
-    closures; untraced runs cost one physical-equality check (no
-    allocation). *)
+(** Observer interface between the protocol substrate and an
+    observability layer above it: each [Comm.t] carries a list of
+    observers (empty by default) that see span boundaries, typed counter
+    bumps, transfers and rounds. Untraced runs cost one empty-list match
+    per event (no allocation). *)
 
 (** Typed event counters bumped by the primitives:
-    AND gates garbled, OTs executed (GC evaluator inputs, B2A, OT
-    extension — OEP switches are counted separately), permutation-network
+    AND gates garbled, OTs accounted (GC evaluator inputs and B2A — OEP
+    switches are counted separately), permutation-network
     switches, circuit-PSI cuckoo bins, B2A word conversions, GC circuit
     executions, and — when a real transport is attached — transport
     retransmissions, receive timeouts, and CRC-rejected frames; when a
@@ -45,21 +44,16 @@ val counter_help : counter -> string
     [Context.bump] exactly once per unit of work. *)
 val registry_bump : counter -> int -> unit
 
+(** An observer of one run. Build one as [{ noop with ... }] and attach
+    it with [Comm.attach]; every callback runs on the domain that drives
+    the context. *)
 type t = {
-  enter : string -> unit;  (** open a child span under the active span *)
-  exit : unit -> unit;     (** close the active span *)
-  bump : counter -> int -> unit;  (** add to a counter of the active span *)
+  enter : string -> unit;  (** a span opens under the active span *)
+  exit : unit -> unit;     (** the active span closes *)
+  bump : counter -> int -> unit;  (** a counter of the active span grows *)
+  send : from:Party.t -> bits:int -> unit;  (** a transfer, after the tally *)
+  rounds : int -> unit;    (** communication rounds, after the tally *)
 }
 
-(** The unique no-op sink; fast paths compare against it physically. *)
+(** The observer that ignores every event. *)
 val noop : t
-
-(** A private accumulator sink and its backing array (indexed by
-    {!counter_index}): bumps add to the array, span boundaries are
-    ignored. Gives parallel workers a domain-private counter delta to be
-    folded into the owning domain's sink via {!merge_into}. *)
-val accumulator : unit -> t * int array
-
-(** Fold an accumulated counter delta into [sink] (one bump per nonzero
-    counter); must be called from the domain that owns [sink]. *)
-val merge_into : t -> int array -> unit

@@ -6,7 +6,8 @@
     tuple value plus an annotation transform that provably preserves
     each intermediate zero/nonzero pattern — and runs the protocol on
     both, demanding a bit-identical communication tally, round count,
-    revealed cardinality, and Trace_sink event stream.
+    revealed cardinality, and observer event stream: every span, counter
+    bump, send (direction and size) and round bump, in order.
 
     The annotation transform per semiring:
     - ring: scale by a fixed odd constant. Odd means a unit of
@@ -62,11 +63,11 @@ let variant (q : Secyan.Query.t) =
   in
   { q with Secyan.Query.inputs }
 
-(* Record the full sink event stream; two oblivious runs must agree on
-   every event, not just on totals. *)
-let recording_sink () =
+(* Record the full observer event stream; two oblivious runs must agree
+   on every event, send by send, not just on totals. *)
+let recorder () =
   let buf = Buffer.create 1024 in
-  let sink =
+  let observer =
     {
       Trace_sink.enter = (fun name -> Buffer.add_string buf ("E " ^ name ^ "\n"));
       exit = (fun () -> Buffer.add_string buf "X\n");
@@ -74,9 +75,13 @@ let recording_sink () =
         (fun c n ->
           Buffer.add_string buf
             (Printf.sprintf "B %s %d\n" (Trace_sink.counter_name c) n));
+      send =
+        (fun ~from ~bits ->
+          Buffer.add_string buf (Printf.sprintf "S %s %d\n" (Party.to_string from) bits));
+      rounds = (fun n -> Buffer.add_string buf (Printf.sprintf "R %d\n" n));
     }
   in
-  (sink, buf)
+  (observer, buf)
 
 type observation = {
   tally : Comm.tally;
@@ -87,8 +92,8 @@ type observation = {
 
 let observe ~seed q =
   let ctx = Context.create ~bits:(Semiring.bits q.Secyan.Query.semiring) ~seed () in
-  let sink, buf = recording_sink () in
-  Context.set_sink ctx sink;
+  let observer, buf = recorder () in
+  Comm.attach ctx.Context.comm observer;
   let revealed, result = Secyan.Secure_yannakakis.run ctx q in
   {
     tally = result.Secyan.Secure_yannakakis.tally;
@@ -128,7 +133,7 @@ let check (t : Gen.instance) =
             var.revealed_size
           :: !details;
       if base.transcript <> var.transcript then
-        details := "trace event stream diverges" :: !details
+        details := "observer event stream diverges" :: !details
   | exception e ->
       details := Printf.sprintf "auditor run raised: %s" (Printexc.to_string e) :: !details);
   { ok = !details = []; details = List.rev !details }

@@ -4,12 +4,11 @@
     labelled registry gauges (so one [--metrics] export carries them) and
     into JSON (so BENCH files carry them).
 
-    The GC sampler works by wrapping the context's {!Trace_sink.t}: every
-    time a phase-level span opens ([phase:*] or [reveal] — the names
-    {!Secyan.Secure_yannakakis} uses), it cuts a [Gc.quick_stat] delta
-    and attributes it to the phase that just ended. Wrapping composes
-    with an attached tracer (events are forwarded) and works equally on
-    an untraced context. *)
+    The GC sampler is an observer ({!Trace_sink.t}) of the context's
+    channel: every time a phase-level span opens ([phase:*] or [reveal] —
+    the names {!Secyan.Secure_yannakakis} uses), it cuts a
+    [Gc.quick_stat] delta and attributes it to the phase that just ended.
+    It composes with any other observers, in any attach order. *)
 
 open Secyan_crypto
 
@@ -28,7 +27,7 @@ type gc_phase = {
 
 type gc_sampler = {
   ctx : Context.t;
-  prev_sink : Trace_sink.t;
+  mutable observer : Trace_sink.t;
   mutable last_stat : Gc.stat;
   mutable last_time : float;
   mutable current : string;
@@ -60,14 +59,12 @@ let cut s next_phase =
   s.current <- next_phase
 
 (** Start sampling on [ctx]. Work before the first phase span is
-    attributed to ["setup"]. The sampler wraps whatever sink is attached
-    (forwarding every event), so attach it {e after} a tracer. *)
+    attributed to ["setup"]. *)
 let attach_gc_sampler ctx =
-  let prev = ctx.Context.sink in
   let s =
     {
       ctx;
-      prev_sink = prev;
+      observer = Trace_sink.noop;
       last_stat = Gc.quick_stat ();
       last_time = Unix.gettimeofday ();
       current = "setup";
@@ -75,24 +72,18 @@ let attach_gc_sampler ctx =
       detached = false;
     }
   in
-  Context.set_sink ctx
-    {
-      Trace_sink.enter =
-        (fun name ->
-          if is_phase_name name then cut s name;
-          prev.Trace_sink.enter name);
-      exit = prev.Trace_sink.exit;
-      bump = prev.Trace_sink.bump;
-    };
+  s.observer <-
+    { Trace_sink.noop with enter = (fun name -> if is_phase_name name then cut s name) };
+  Comm.attach ctx.Context.comm s.observer;
   s
 
-(** Stop sampling: restore the wrapped sink, close the open phase, and
-    return the samples in execution order. Idempotent. *)
+(** Stop sampling: detach the observer, close the open phase, and return
+    the samples in execution order. Idempotent. *)
 let detach_gc_sampler s =
   if not s.detached then begin
     s.detached <- true;
     cut s "done";
-    Context.set_sink s.ctx s.prev_sink
+    Comm.detach s.ctx.Context.comm s.observer
   end;
   List.rev s.rev_phases
 

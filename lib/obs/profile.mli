@@ -23,14 +23,14 @@ val is_phase_name : string -> bool
 
 type gc_sampler
 
-(** Start sampling GC activity per protocol phase on [ctx], by wrapping
-    its sink and cutting a delta whenever a [phase:*] or [reveal] span
-    opens. Work before the first phase is attributed to ["setup"].
-    Attach {e after} any tracer; detach in reverse order. *)
+(** Start sampling GC activity per protocol phase on [ctx], as an
+    observer of its channel that cuts a delta whenever a [phase:*] or
+    [reveal] span opens. Work before the first phase is attributed to
+    ["setup"]. Composes with other observers in any attach order. *)
 val attach_gc_sampler : Context.t -> gc_sampler
 
-(** Restore the wrapped sink, close the open phase (as ["done"]), and
-    return the samples in execution order. Idempotent. *)
+(** Detach the observer, close the open phase (as ["done"]), and return
+    the samples in execution order. Idempotent. *)
 val detach_gc_sampler : gc_sampler -> gc_phase list
 
 (** Publish per-domain pool timelines as labelled gauges

@@ -1,4 +1,4 @@
-(** Live progress reporter: a sink wrapper that watches [And_gates]
+(** Live progress reporter: an observer that watches [And_gates]
     bumps and phase-span openings, renders a single refreshing status
     line on stderr, and optionally appends machine-readable JSONL
     heartbeats. The gate total comes from
@@ -6,17 +6,17 @@
     estimate, so the percentage is approximate and clamped at 99% until
     the run actually finishes).
 
-    Like {!Profile.attach_gc_sampler}, the reporter composes by wrapping
-    whatever sink is attached and forwarding every event; attach after a
-    tracer, detach in reverse order. Bumps reach the wrapped sink on the
-    caller's domain only (parallel batches merge worker counters before
-    bumping), so rendering needs no synchronization. *)
+    Like {!Profile.attach_gc_sampler}, the reporter is one observer of
+    the context's channel among any others, attached and detached in any
+    order. Bumps reach observers on the caller's domain only (parallel
+    batches merge worker counters before bumping), so rendering needs no
+    synchronization. *)
 
 open Secyan_crypto
 
 type t = {
   ctx : Context.t;
-  prev_sink : Trace_sink.t;
+  mutable observer : Trace_sink.t;
   total : int option;  (** estimated total AND gates, when known *)
   render : bool;
   heartbeat : out_channel option;
@@ -98,11 +98,10 @@ let tick t ~force =
     (omit for a gate counter without percentage/ETA); [render] controls
     the stderr line; [heartbeat] receives one JSONL object per refresh. *)
 let attach ?total ?(interval = 0.2) ?(render = true) ?heartbeat ctx =
-  let prev = ctx.Context.sink in
   let t =
     {
       ctx;
-      prev_sink = prev;
+      observer = Trace_sink.noop;
       total;
       render;
       heartbeat;
@@ -115,27 +114,26 @@ let attach ?total ?(interval = 0.2) ?(render = true) ?heartbeat ctx =
       detached = false;
     }
   in
-  Context.set_sink ctx
+  t.observer <-
     {
-      Trace_sink.enter =
+      Trace_sink.noop with
+      enter =
         (fun name ->
           if Profile.is_phase_name name then begin
             t.phase <- name;
             tick t ~force:true
-          end;
-          prev.Trace_sink.enter name);
-      exit = prev.Trace_sink.exit;
+          end);
       bump =
         (fun c n ->
           if c = Trace_sink.And_gates then begin
             t.done_gates <- t.done_gates + n;
             tick t ~force:false
-          end;
-          prev.Trace_sink.bump c n);
+          end);
     };
+  Comm.attach ctx.Context.comm t.observer;
   t
 
-(** Restore the wrapped sink and print the final status (with a newline,
+(** Detach the observer and print the final status (with a newline,
     so subsequent output starts clean). Idempotent. *)
 let detach t =
   if not t.detached then begin
@@ -144,7 +142,7 @@ let detach t =
     if t.render then render_line t ~final:true
     else if t.line_open then Printf.eprintf "\n%!";
     Option.iter (heartbeat_line t) t.heartbeat;
-    Context.set_sink t.ctx t.prev_sink
+    Comm.detach t.ctx.Context.comm t.observer
   end
 
 let and_gates t = t.done_gates

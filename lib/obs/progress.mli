@@ -1,6 +1,6 @@
 (** Live progress reporter: watches [And_gates] bumps and phase spans
-    via a sink wrapper, renders a refreshing status line on stderr, and
-    optionally appends JSONL heartbeats
+    as an observer of the context's channel, renders a refreshing status
+    line on stderr, and optionally appends JSONL heartbeats
     ([{"elapsed_s":..,"phase":..,"and_gates":..,"estimated_total":..,
     "pct":..,"eta_s":..}]). See DESIGN.md §13. *)
 
@@ -12,8 +12,8 @@ type t
     from [Secure_yannakakis.estimate_and_gates] (omit for a plain gate
     counter without percentage/ETA); [interval] throttles refreshes
     (seconds, default 0.2); [render] controls the stderr line (default
-    true); [heartbeat] receives one JSONL object per refresh. Attach
-    after a tracer; detach in reverse order. *)
+    true); [heartbeat] receives one JSONL object per refresh. Composes
+    with other observers in any attach order. *)
 val attach :
   ?total:int ->
   ?interval:float ->
@@ -22,7 +22,7 @@ val attach :
   Context.t ->
   t
 
-(** Restore the wrapped sink and print the final status line (newline
+(** Detach the observer and print the final status line (newline
     terminated). Emits a final heartbeat. Idempotent. *)
 val detach : t -> unit
 

@@ -1,14 +1,12 @@
 (** The tracer: maintains a stack of open spans over one {!Context.t} and
     turns a protocol execution into a {!Span.t} tree.
 
-    Attachment installs a {!Trace_sink.t} on the context (so
-    [Context.with_span] and primitive counter bumps reach the tracer) and
-    subscribes to the context's [Comm] listener hooks (so every
-    [Comm.send] / [Comm.bump_rounds] is attributed to the active span in
-    real time). Detaching restores the no-op sink, returning the context
-    to its zero-overhead untraced state. The tracer draws no randomness
-    and never touches the channel, so traced and untraced runs produce
-    identical transcripts. *)
+    Attachment adds a recording observer ({!Trace_sink.t}) to the
+    context's channel, so span boundaries, primitive counter bumps and
+    every [Comm.send] / [Comm.bump_rounds] are attributed to the active
+    span in real time. Detaching removes it. The tracer draws no
+    randomness and never touches the channel, so traced and untraced runs
+    produce identical transcripts. *)
 
 open Secyan_crypto
 
@@ -16,7 +14,7 @@ type t = {
   root : Span.t;
   mutable stack : Span.t list;  (** open spans, innermost first (root excluded) *)
   origin : float;               (** Unix time of [create] *)
-  mutable attached_to : Context.t option;
+  mutable attached_to : (Comm.t * Trace_sink.t) option;
 }
 
 let now t = Unix.gettimeofday () -. t.origin
@@ -33,8 +31,8 @@ let enter t name =
   Span.add_child (active t) span;
   t.stack <- span :: t.stack
 
-(* Unmatched exits are ignored rather than raised: a sink must never turn
-   an otherwise-correct protocol run into a crash. *)
+(* Unmatched exits are ignored rather than raised: an observer must never
+   turn an otherwise-correct protocol run into a crash. *)
 let exit_span t =
   match t.stack with
   | [] -> ()
@@ -42,7 +40,7 @@ let exit_span t =
       span.Span.dur_s <- now t -. span.Span.start_s;
       t.stack <- rest
 
-let sink t : Trace_sink.t =
+let observer t : Trace_sink.t =
   {
     Trace_sink.enter = enter t;
     exit = (fun () -> exit_span t);
@@ -51,36 +49,33 @@ let sink t : Trace_sink.t =
         let span = active t in
         let i = Trace_sink.counter_index counter in
         span.Span.self_counters.(i) <- span.Span.self_counters.(i) + n);
+    send =
+      (fun ~from ~bits ->
+        let span = active t in
+        (match (from : Party.t) with
+        | Alice -> span.Span.self_alice_to_bob_bits <- span.Span.self_alice_to_bob_bits + bits
+        | Bob -> span.Span.self_bob_to_alice_bits <- span.Span.self_bob_to_alice_bits + bits);
+        span.Span.self_sends <- span.Span.self_sends + 1);
+    rounds = (fun n -> let span = active t in span.Span.self_rounds <- span.Span.self_rounds + n);
   }
 
-(** Attach the tracer to [ctx]: installs the recording sink and the
-    [Comm] listeners. A tracer observes one context at a time.
+(** Attach the tracer to [ctx] as an observer of its channel. A tracer
+    observes one context at a time.
     @raise Invalid_argument if this tracer is already attached. *)
 let attach t ctx =
   (match t.attached_to with
   | Some _ -> invalid_arg "Trace.attach: tracer already attached"
   | None -> ());
-  t.attached_to <- Some ctx;
-  Context.set_sink ctx (sink t);
-  Comm.on_send ctx.Context.comm
-    (Some
-       (fun ~from ~bits ->
-         let span = active t in
-         (match (from : Party.t) with
-         | Alice -> span.Span.self_alice_to_bob_bits <- span.Span.self_alice_to_bob_bits + bits
-         | Bob -> span.Span.self_bob_to_alice_bits <- span.Span.self_bob_to_alice_bits + bits);
-         span.Span.self_sends <- span.Span.self_sends + 1));
-  Comm.on_rounds ctx.Context.comm
-    (Some (fun n -> let span = active t in span.Span.self_rounds <- span.Span.self_rounds + n))
+  let o = observer t in
+  t.attached_to <- Some (ctx.Context.comm, o);
+  Comm.attach ctx.Context.comm o
 
-(** Restore the context's no-op sink and drop the [Comm] listeners. *)
+(** Remove the tracer's observer from the context. *)
 let detach t =
   match t.attached_to with
   | None -> ()
-  | Some ctx ->
-      Context.set_sink ctx Trace_sink.noop;
-      Comm.on_send ctx.Context.comm None;
-      Comm.on_rounds ctx.Context.comm None;
+  | Some (comm, o) ->
+      Comm.detach comm o;
       t.attached_to <- None
 
 (** Detach, close any spans left open, stamp the root duration, and

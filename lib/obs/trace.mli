@@ -1,19 +1,20 @@
 (** The tracer: records a protocol execution over one {!Context.t} as a
     {!Span.t} tree.
 
-    Attaching installs a recording {!Trace_sink.t} on the context and
-    subscribes to its [Comm] listener hooks, so span entry/exit, every
-    [Comm.send] / [Comm.bump_rounds], and every primitive counter bump
-    is attributed to the innermost open span. The tracer draws no
-    randomness and never touches the channel: traced and untraced runs
-    produce identical protocol transcripts and tallies.
+    Attaching adds a recording observer ({!Trace_sink.t}) to the
+    context's channel, so span entry/exit, every [Comm.send] /
+    [Comm.bump_rounds], and every primitive counter bump is attributed
+    to the innermost open span. It composes with any other observers.
+    The tracer draws no randomness and never touches the channel: traced
+    and untraced runs produce identical protocol transcripts and tallies.
 
-    The recording sink is single-domain: only the domain that attached
-    the tracer may touch it. Parallel batches respect this by giving
-    each worker a private {!Trace_sink.accumulator} and folding the
-    deltas into the tracer once per batch from the owning domain
-    ({!Trace_sink.merge_into}), so traced parallel runs yield the same
-    span tree — traffic, rounds, and counters — as sequential ones. *)
+    The recording observer is single-domain: only the domain that
+    attached the tracer may touch it. Parallel batches respect this:
+    each worker item runs on a private channel with no observers and a
+    private counter array, and the owning domain folds the deltas in once
+    per batch ([Context.merge_counters] and one [Comm.send] per
+    direction), so traced parallel runs yield the same span tree —
+    traffic, rounds, and counters — as sequential ones. *)
 
 open Secyan_crypto
 
@@ -21,12 +22,11 @@ type t
 
 val create : ?name:string -> unit -> t
 
-(** Attach to a context: install the recording sink and [Comm]
-    listeners. @raise Invalid_argument if already attached. *)
+(** Attach to a context as an observer of its channel.
+    @raise Invalid_argument if already attached. *)
 val attach : t -> Context.t -> unit
 
-(** Restore the context's no-op sink and drop the listeners. No-op if
-    not attached. *)
+(** Remove the tracer's observer. No-op if not attached. *)
 val detach : t -> unit
 
 (** Detach, close any spans still open, stamp the root duration, and

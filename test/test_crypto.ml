@@ -1,5 +1,5 @@
 (* Tests for the cryptographic substrate: PRG, ring, SHA-256, secret
-   sharing, circuits, garbling, GC protocol, OT, permutation networks,
+   sharing, circuits, garbling, GC protocol, permutation networks,
    cuckoo hashing, OEP, and the two PSI protocols. *)
 
 open Secyan_crypto
@@ -575,8 +575,15 @@ let gc_run_instrumented ~domains ~backend =
   Secyan_metrics.set_enabled true;
   Fun.protect ~finally:(fun () -> Secyan_metrics.set_enabled was_enabled) @@ fun () ->
   let ctx = Context.create ~gc_backend:backend ~domains ~seed:42L () in
-  let sink, counts = Trace_sink.accumulator () in
-  Context.set_sink ctx sink;
+  let counts = Array.make Trace_sink.n_counters 0 in
+  Comm.attach ctx.Context.comm
+    {
+      Trace_sink.noop with
+      bump =
+        (fun c n ->
+          let i = Trace_sink.counter_index c in
+          counts.(i) <- counts.(i) + n);
+    };
   let shares, revealed = gc_batch_fixture ctx ~n_items:n_parallel_items in
   let tally = Comm.tally ctx.Context.comm in
   let parallel = workers_ran_items ctx in
@@ -657,39 +664,6 @@ let test_gc_real_sim_agreement () =
   Alcotest.(check bool) "reconstructed outputs agree" true (r_real = r_sim);
   Alcotest.(check bool) "revealed outputs agree" true (v_real = v_sim);
   Alcotest.(check bool) "comm tallies agree" true (Comm.equal t_real t_sim)
-
-(* ------------------------------------------------------------------ *)
-(* Oblivious transfer *)
-
-let test_ot_single () =
-  let ctx = ctx_sim () in
-  List.iter
-    (fun choice ->
-      let got =
-        Oblivious_transfer.transfer ctx ~sender:Party.Alice ~bits:32
-          ~messages:{ Oblivious_transfer.m0 = 111L; m1 = 222L }
-          ~choice_bit:choice
-      in
-      Alcotest.check check_i64 "chosen message" (if choice then 222L else 111L) got)
-    [ false; true ]
-
-let test_ot_batch () =
-  let ctx = ctx_sim () in
-  let n = 50 in
-  let prg = Prg.create 123L in
-  let messages =
-    Array.init n (fun _ ->
-        { Oblivious_transfer.m0 = Prg.bits prg 32; m1 = Prg.bits prg 32 })
-  in
-  let choices = Array.init n (fun _ -> Prg.bool prg) in
-  let got = Oblivious_transfer.transfer_batch ctx ~sender:Party.Bob ~bits:32 ~messages ~choices in
-  Array.iteri
-    (fun i g ->
-      let m = messages.(i) in
-      Alcotest.check check_i64 "batch element"
-        (if choices.(i) then m.Oblivious_transfer.m1 else m.Oblivious_transfer.m0)
-        g)
-    got
 
 (* ------------------------------------------------------------------ *)
 (* Permutation networks *)
@@ -1038,40 +1012,6 @@ let test_garbling_aes_kdf () =
     let got = Array.mapi (fun i l -> Garbling.decode_output g ~out_index:i l) out_labels in
     Alcotest.(check (array bool)) "AES garbling = clear" expected got
   done
-
-(* ------------------------------------------------------------------ *)
-(* IKNP OT extension *)
-
-let test_ot_extension_correct () =
-  let ctx = ctx_sim () in
-  let prg = Prg.create 31L in
-  let m = 300 in
-  let messages =
-    Array.init m (fun _ ->
-        ((Prg.next_int64 prg, Prg.next_int64 prg), (Prg.next_int64 prg, Prg.next_int64 prg)))
-  in
-  let choices = Array.init m (fun _ -> Prg.bool prg) in
-  let got = Ot_extension.extend ctx ~sender:Party.Alice ~messages ~choices in
-  Array.iteri
-    (fun j blk ->
-      let m0, m1 = messages.(j) in
-      let expect = if choices.(j) then m1 else m0 in
-      Alcotest.(check bool) "chosen block" true (blk = expect);
-      (* and the other message stays hidden behind an unknown pad *)
-      Alcotest.(check bool) "other differs" true (blk <> if choices.(j) then m0 else m1))
-    got
-
-let test_ot_extension_accounts_comm () =
-  let ctx = ctx_sim () in
-  let before = Comm.tally ctx.Context.comm in
-  let messages = Array.make 64 ((1L, 2L), (3L, 4L)) in
-  let choices = Array.make 64 false in
-  let _ = Ot_extension.extend ctx ~sender:Party.Bob ~messages ~choices in
-  let d = Comm.diff (Comm.tally ctx.Context.comm) before in
-  (* matrix columns one way, masked message pairs the other *)
-  Alcotest.(check int) "receiver bits" (128 * 64) d.Comm.alice_to_bob_bits;
-  Alcotest.(check int) "sender bits" (64 * 256) d.Comm.bob_to_alice_bits;
-  Alcotest.(check int) "two rounds" 2 d.Comm.rounds
 
 (* ------------------------------------------------------------------ *)
 (* Sorting networks *)
@@ -1457,11 +1397,33 @@ let test_comm_tally_arithmetic () =
   Alcotest.(check bool) "equal is structural" true
     (Comm.equal final { Comm.alice_to_bob_bits = 107; bob_to_alice_bits = 40; rounds = 3 })
 
-let test_comm_listeners () =
+(* A channel observer that records every send and round bump, together
+   with the channel's tally as the observer saw it. *)
+let recording_observer c =
+  let sends = ref [] and rounds = ref 0 and tallies = ref [] in
+  let o =
+    {
+      Trace_sink.noop with
+      send =
+        (fun ~from ~bits ->
+          sends := (from, bits) :: !sends;
+          tallies := Comm.tally c :: !tallies);
+      rounds =
+        (fun n ->
+          rounds := !rounds + n;
+          tallies := Comm.tally c :: !tallies);
+    }
+  in
+  (o, sends, rounds, tallies)
+
+let test_comm_observers () =
   let c = Comm.create () in
-  let sends = ref [] and rounds = ref 0 in
-  Comm.on_send c (Some (fun ~from ~bits -> sends := (from, bits) :: !sends));
-  Comm.on_rounds c (Some (fun n -> rounds := !rounds + n));
+  let o, sends, rounds, tallies = recording_observer c in
+  let o2, sends2, _, _ = recording_observer c in
+  Comm.attach c o;
+  Comm.attach c o2;
+  Alcotest.(check bool) "observers in attach order" true
+    (match Comm.observers c with [ a; b ] -> a == o && b == o2 | _ -> false);
   Comm.send c ~from:Party.Alice ~bits:5;
   Comm.send c ~from:Party.Bob ~bits:0;
   Comm.bump_rounds c 3;
@@ -1469,70 +1431,87 @@ let test_comm_listeners () =
   Alcotest.(check bool) "direction and size reported" true
     (List.mem (Party.Alice, 5) !sends && List.mem (Party.Bob, 0) !sends);
   Alcotest.(check int) "rounds observed" 3 !rounds;
-  Comm.on_send c None;
-  Comm.on_rounds c None;
+  Alcotest.(check int) "second observer sees the same sends" 2 (List.length !sends2);
+  (* events fire after the tally update *)
+  Alcotest.(check (list (triple int int int))) "tally updated before each event"
+    [ (5, 0, 0); (5, 0, 0); (5, 0, 3) ]
+    (List.rev_map
+       (fun t -> (t.Comm.alice_to_bob_bits, t.Comm.bob_to_alice_bits, t.Comm.rounds))
+       !tallies);
+  Comm.detach c o;
   Comm.send c ~from:Party.Alice ~bits:9;
   Comm.bump_rounds c 1;
-  Alcotest.(check int) "unsubscribed send listener silent" 2 (List.length !sends);
-  Alcotest.(check int) "unsubscribed rounds listener silent" 3 !rounds;
-  (* the tally kept counting regardless of listeners *)
+  Alcotest.(check int) "detached observer silent on send" 2 (List.length !sends);
+  Alcotest.(check int) "detached observer silent on rounds" 3 !rounds;
+  Alcotest.(check int) "remaining observer still sees sends" 3 (List.length !sends2);
+  Comm.detach c o2;
+  Alcotest.(check bool) "no observers left" true (Comm.observers c = []);
+  (* the tally kept counting regardless of observers *)
   Alcotest.(check int) "tally still complete" 14 (Comm.tally c).Comm.alice_to_bob_bits
 
 let raises_invalid f =
   match f () with () -> false | exception Invalid_argument _ -> true
 
-let test_comm_listener_exclusive () =
+let test_comm_wire_exclusive () =
   let c = Comm.create () in
-  Comm.on_send c (Some (fun ~from:_ ~bits:_ -> ()));
-  Alcotest.(check bool) "second send listener rejected" true
-    (raises_invalid (fun () -> Comm.on_send c (Some (fun ~from:_ ~bits:_ -> ()))));
-  Comm.on_send c None;
-  (* after an explicit detach, subscribing again is fine *)
-  Comm.on_send c (Some (fun ~from:_ ~bits:_ -> ()));
-  Comm.on_send c None;
-  Comm.on_rounds c (Some ignore);
-  Alcotest.(check bool) "second rounds listener rejected" true
-    (raises_invalid (fun () -> Comm.on_rounds c (Some ignore)));
-  Comm.on_rounds c None;
   Comm.set_wire c (Some (fun ~from:_ ~bits:_ -> ()));
   Alcotest.(check bool) "second wire rejected" true
     (raises_invalid (fun () -> Comm.set_wire c (Some (fun ~from:_ ~bits:_ -> ()))));
   Comm.set_wire c None
 
-let test_comm_listener_detach_during_send () =
+let test_comm_observer_detach_during_send () =
   let c = Comm.create () in
-  (* a listener may detach itself from inside its own callback *)
-  let calls = ref 0 in
-  Comm.on_send c
-    (Some
-       (fun ~from:_ ~bits:_ ->
-         incr calls;
-         Comm.on_send c None));
+  (* an observer may detach itself from inside its own callback, and the
+     observers after it still see that event *)
+  let calls = ref 0 and sibling = ref 0 in
+  let rec self_detaching =
+    {
+      Trace_sink.noop with
+      send =
+        (fun ~from:_ ~bits:_ ->
+          incr calls;
+          Comm.detach c self_detaching);
+    }
+  in
+  Comm.attach c self_detaching;
+  Comm.attach c { Trace_sink.noop with send = (fun ~from:_ ~bits:_ -> incr sibling) };
   Comm.send c ~from:Party.Alice ~bits:8;
   Comm.send c ~from:Party.Alice ~bits:8;
-  Alcotest.(check int) "self-detaching listener fired exactly once" 1 !calls;
+  Alcotest.(check int) "self-detaching observer fired exactly once" 1 !calls;
+  Alcotest.(check int) "sibling saw both sends" 2 !sibling;
   (* ... or hand over to a successor mid-send *)
+  let c = Comm.create () in
   let successor = ref 0 in
-  Comm.on_send c
-    (Some
-       (fun ~from:_ ~bits:_ ->
-         Comm.on_send c None;
-         Comm.on_send c (Some (fun ~from:_ ~bits:_ -> incr successor))));
+  let rec handing_over =
+    {
+      Trace_sink.noop with
+      send =
+        (fun ~from:_ ~bits:_ ->
+          Comm.detach c handing_over;
+          Comm.attach c { Trace_sink.noop with send = (fun ~from:_ ~bits:_ -> incr successor) });
+    }
+  in
+  Comm.attach c handing_over;
   Comm.send c ~from:Party.Bob ~bits:1;
   Comm.send c ~from:Party.Bob ~bits:1;
   Alcotest.(check int) "successor sees only later sends" 1 !successor;
-  (* same discipline on the rounds listener *)
+  (* same discipline on round events *)
   let rounds = ref 0 in
-  Comm.on_rounds c
-    (Some
-       (fun n ->
-         rounds := !rounds + n;
-         Comm.on_rounds c None));
+  let rec self_detaching_rounds =
+    {
+      Trace_sink.noop with
+      rounds =
+        (fun n ->
+          rounds := !rounds + n;
+          Comm.detach c self_detaching_rounds);
+    }
+  in
+  Comm.attach c self_detaching_rounds;
   Comm.bump_rounds c 2;
   Comm.bump_rounds c 5;
-  Alcotest.(check int) "self-detaching rounds listener fired once" 2 !rounds;
-  (* the tally was never affected by listener churn *)
-  Alcotest.(check int) "tally unaffected" 16 (Comm.tally c).Comm.alice_to_bob_bits
+  Alcotest.(check int) "self-detaching rounds observer fired once" 2 !rounds;
+  (* the tally was never affected by observer churn *)
+  Alcotest.(check int) "tally unaffected" 2 (Comm.tally c).Comm.bob_to_alice_bits
 
 (* ------------------------------------------------------------------ *)
 
@@ -1546,10 +1525,10 @@ let () =
           Alcotest.test_case "zero-bit send" `Quick test_comm_send_zero;
           Alcotest.test_case "negative send rejected" `Quick test_comm_send_negative;
           Alcotest.test_case "tally arithmetic" `Quick test_comm_tally_arithmetic;
-          Alcotest.test_case "listeners" `Quick test_comm_listeners;
-          Alcotest.test_case "listener exclusivity" `Quick test_comm_listener_exclusive;
+          Alcotest.test_case "listeners" `Quick test_comm_observers;
+          Alcotest.test_case "listener exclusivity" `Quick test_comm_wire_exclusive;
           Alcotest.test_case "listener detach during send" `Quick
-            test_comm_listener_detach_during_send;
+            test_comm_observer_detach_during_send;
         ] );
       ( "prg",
         [
@@ -1616,11 +1595,6 @@ let () =
           Alcotest.test_case "batch context cache reuse" `Quick test_gc_batch_cache_reuse;
           Alcotest.test_case "small batches run inline" `Quick test_gc_small_batch_inline;
         ] );
-      ( "oblivious-transfer",
-        [
-          Alcotest.test_case "single" `Quick test_ot_single;
-          Alcotest.test_case "batch" `Quick test_ot_batch;
-        ] );
       ( "permutation-network",
         Alcotest.test_case "switch counts" `Quick test_perm_network_switch_count
         :: qsuite [ perm_network_correct ] );
@@ -1645,11 +1619,6 @@ let () =
         [
           Alcotest.test_case "AES-NI kernel = OCaml AES" `Quick test_kernel_matches_ocaml;
           Alcotest.test_case "2/4-block calls = single calls" `Quick test_kernel_multi_block;
-        ] );
-      ( "ot-extension",
-        [
-          Alcotest.test_case "correctness" `Quick test_ot_extension_correct;
-          Alcotest.test_case "communication" `Quick test_ot_extension_accounts_comm;
         ] );
       ( "sorting-network",
         Alcotest.test_case "comparator counts" `Quick test_sorting_network_size

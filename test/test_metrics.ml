@@ -320,7 +320,7 @@ let test_gc_sampler_phases () =
   let names = List.map (fun p -> p.Profile.phase) phases in
   Alcotest.(check (list string)) "phases in order"
     [ "setup"; "phase:reduce"; "reveal" ] names;
-  Alcotest.(check bool) "sink restored" true (ctx.Context.sink == Trace_sink.noop);
+  Alcotest.(check bool) "observer detached" false (Context.traced ctx);
   let reduce = List.nth phases 1 in
   Alcotest.(check bool) "reduce allocated" true (reduce.Profile.minor_words > 0.);
   (* detach is idempotent *)
@@ -338,7 +338,7 @@ let test_progress_heartbeats () =
   Progress.detach t;
   close_out oc;
   Alcotest.(check int) "gates observed" 500 (Progress.and_gates t);
-  Alcotest.(check bool) "sink restored" true (ctx.Context.sink == Trace_sink.noop);
+  Alcotest.(check bool) "observer detached" false (Context.traced ctx);
   let ic = open_in file in
   let lines = ref [] in
   (try
@@ -366,7 +366,7 @@ let test_progress_heartbeats () =
   Alcotest.(check (option int)) "total present" (Some 1000)
     (Option.bind (Json.member "estimated_total" last) Json.to_int_opt)
 
-(* Progress must forward events to a wrapped tracer unchanged. *)
+(* Progress must leave a tracer's view of the run unchanged. *)
 let test_progress_composes_with_tracer () =
   let d = Secyan_tpch.Datagen.generate ~sf:4e-5 ~seed in
   let q = Secyan_tpch.Queries.q3 d in
@@ -387,6 +387,58 @@ let test_progress_composes_with_tracer () =
   let prog_result, prog_tally = run ~with_progress:true in
   Alcotest.(check bool) "results identical" true (plain_result = prog_result);
   Alcotest.(check bool) "root tally identical" true (Comm.equal plain_tally prog_tally)
+
+(* The tracer, the GC sampler and the progress reporter are independent
+   observers: detaching one, in any order, leaves the others seeing every
+   later phase, counter bump and send. *)
+let test_observers_any_order () =
+  let ctx = Context.create ~seed () in
+  let tracer = Trace.create () in
+  Trace.attach tracer ctx;
+  let sampler = Profile.attach_gc_sampler ctx in
+  let file = Filename.temp_file "secyan_hb" ".jsonl" in
+  let oc = open_out file in
+  let progress = Progress.attach ~interval:0. ~render:false ~heartbeat:oc ctx in
+  Context.with_span ctx "phase:reduce" (fun () -> Context.bump ctx Trace_sink.And_gates 10);
+  let phases = Profile.detach_gc_sampler sampler in
+  Context.with_span ctx "phase:semijoin" (fun () ->
+      Context.bump ctx Trace_sink.And_gates 32;
+      Comm.send ctx.Context.comm ~from:Party.Alice ~bits:64;
+      Comm.bump_rounds ctx.Context.comm 1);
+  Alcotest.(check bool) "still traced" true (Context.traced ctx);
+  Progress.detach progress;
+  close_out oc;
+  let root = Trace.finish tracer in
+  Alcotest.(check bool) "all detached" false (Context.traced ctx);
+  Alcotest.(check (list string)) "sampler cut its phases" [ "setup"; "phase:reduce" ]
+    (List.map (fun p -> p.Profile.phase) phases);
+  Alcotest.(check int) "progress saw every bump" 42 (Progress.and_gates progress);
+  let ic = open_in file in
+  let heartbeat_phases = ref [] in
+  (try
+     while true do
+       match Json.parse (input_line ic) with
+       | Ok j ->
+           Option.iter
+             (fun p -> heartbeat_phases := p :: !heartbeat_phases)
+             (Option.bind (Json.member "phase" j) Json.to_string_opt)
+       | Error e -> Alcotest.failf "unparsable heartbeat: %s" e
+     done
+   with End_of_file -> ());
+  close_in ic;
+  Sys.remove file;
+  Alcotest.(check bool) "progress saw the later phase" true
+    (List.mem "phase:semijoin" !heartbeat_phases);
+  Alcotest.(check (list string)) "tracer saw both phases" [ "phase:reduce"; "phase:semijoin" ]
+    (List.map (fun s -> s.Span.name) (Span.children root));
+  let semijoin = List.nth (Span.children root) 1 in
+  Alcotest.(check int) "tracer saw the later bump" 32 (Span.counter semijoin Trace_sink.And_gates);
+  Alcotest.(check int) "tracer saw the later send" 1 (Span.sends semijoin);
+  Alcotest.check
+    (Alcotest.testable Comm.pp Comm.equal)
+    "tracer saw the later traffic"
+    { Comm.alice_to_bob_bits = 64; bob_to_alice_bits = 0; rounds = 1 }
+    (Span.tally semijoin)
 
 (* ------------------------------------------------------------------ *)
 (* bench diff *)
@@ -540,6 +592,8 @@ let () =
           Alcotest.test_case "progress heartbeats" `Quick test_progress_heartbeats;
           Alcotest.test_case "progress composes with tracer" `Quick
             test_progress_composes_with_tracer;
+          Alcotest.test_case "observers attach and detach in any order" `Quick
+            test_observers_any_order;
         ] );
       ( "bench-diff",
         [

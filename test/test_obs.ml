@@ -201,6 +201,26 @@ let test_noop_sink_is_default () =
   ignore (Trace.finish t : Span.t);
   Alcotest.(check bool) "finished context untraced again" false (Context.traced ctx)
 
+(* With no observer attached, spans, counter bumps, sends and round bumps
+   allocate nothing. *)
+let test_untraced_events_allocate_nothing () =
+  let ctx = Context.create ~seed () in
+  let body () = Context.bump ctx Trace_sink.And_gates 1 in
+  let events () =
+    for _ = 1 to 1000 do
+      Context.with_span ctx "span" body;
+      Comm.send ctx.Context.comm ~from:Party.Alice ~bits:8;
+      Comm.bump_rounds ctx.Context.comm 1
+    done
+  in
+  events ();
+  let before = Gc.minor_words () in
+  events ();
+  let words = Gc.minor_words () -. before in
+  (* a few words for boxing the float results themselves *)
+  Alcotest.(check bool) (Printf.sprintf "%.0f words for 1000 rounds of events" words) true
+    (words < 64.)
+
 let test_measure () =
   let ctx = Context.create ~seed () in
   let before = Comm.tally ctx.Context.comm in
@@ -371,6 +391,8 @@ let () =
           Alcotest.test_case "tracing changes nothing" `Quick test_untraced_identical;
           Alcotest.test_case "parallel trace identical" `Quick test_traced_parallel_identical;
           Alcotest.test_case "noop sink default" `Quick test_noop_sink_is_default;
+          Alcotest.test_case "untraced events allocate nothing" `Quick
+            test_untraced_events_allocate_nothing;
           Alcotest.test_case "measure" `Quick test_measure;
           Alcotest.test_case "measure nesting" `Quick test_measure_nesting;
           Alcotest.test_case "span attribution nested" `Quick
