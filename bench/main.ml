@@ -819,7 +819,7 @@ let gc_perf () =
   line "%-24s %12.1fx fewer minor words/AND (gate: >= 10x)" "alloc-reduction"
     alloc_reduction;
   (* steady-state batch-engine allocation: the second batch on a context
-     runs on recycled item contexts and warmed arenas *)
+     runs on recycled item PRGs and warmed arenas *)
   Secyan_metrics.set_enabled true;
   let alloc_ctx = Context.create ~gc_backend:Context.Real ~domains:1 ~seed () in
   ignore (Gc_protocol.eval_to_shares_batch alloc_ctx ~items:(batch_inputs ()) ~build);

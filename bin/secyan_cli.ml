@@ -242,6 +242,8 @@ let print_checkpoint_stats = function
         | None -> ""
         | Some epoch -> Printf.sprintf ", resumed from epoch %d" epoch)
 
+(* The protocol runs in-process; [Context.wire_of] moves filler payloads
+   of each transfer's declared size, so the footer says what crossed. *)
 let print_transport_stats = function
   | None -> ()
   | Some tr ->
@@ -250,7 +252,9 @@ let print_transport_stats = function
               %d duplicates dropped@."
         (Secyan_net.Resilient.kind tr) s.Secyan_net.Resilient.transfers
         s.Secyan_net.Resilient.retries s.Secyan_net.Resilient.timeouts
-        s.Secyan_net.Resilient.corrupt_frames s.Secyan_net.Resilient.duplicates_dropped
+        s.Secyan_net.Resilient.corrupt_frames s.Secyan_net.Resilient.duplicates_dropped;
+      Fmt.pr "transport payloads: filler bytes of each transfer's declared size, not \
+              protocol bytes@."
 
 (* Run [f] under a tracer when requested and export the resulting span
    tree; untraced runs call [f] directly (no observer attached at all). *)

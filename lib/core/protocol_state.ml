@@ -272,8 +272,8 @@ let fingerprint (ctx : Context.t) (q : Query.t) : string =
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "secyan-fingerprint v1\n";
   add "query %s\n" q.Query.name;
-  add "ring %d kappa %d sigma %d gc %s\n" (Context.ring_bits ctx) ctx.Context.kappa
-    ctx.Context.sigma
+  add "ring %d kappa %d sigma %d gc %s\n" (Context.ring_bits ctx) Context.kappa
+    Context.sigma
     (match ctx.Context.gc_backend with Context.Real -> "real" | Context.Sim -> "sim");
   add "semiring %s\n"
     (match q.Query.semiring.Semiring.kind with

@@ -92,15 +92,6 @@ let bump_rounds t n =
 let tally t =
   { alice_to_bob_bits = t.alice_to_bob; bob_to_alice_bits = t.bob_to_alice; rounds = t.rounds }
 
-(** Zero the counters in place, keeping observers and wire attached.
-    Observers do not fire — this is bookkeeping for channel reuse (the GC
-    batch engine recycles per-item channels across batches), not
-    traffic. *)
-let reset t =
-  t.alice_to_bob <- 0;
-  t.bob_to_alice <- 0;
-  t.rounds <- 0
-
 (** Overwrite the counters with an absolute tally. Observers and the wire
     do not fire: this is state restoration (checkpoint resume), not
     traffic. *)

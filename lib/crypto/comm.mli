@@ -64,11 +64,6 @@ val schema : t -> Protocol_schema.t option
 
 val tally : t -> tally
 
-(** Zero the counters in place (observers and wire stay attached and do
-    not fire): channel reuse, not traffic. The GC batch engine recycles
-    per-item channels across batches with this. *)
-val reset : t -> unit
-
 (** Overwrite the counters with an absolute tally, e.g. one captured in a
     checkpoint. Observers and the wire do not fire — this is state
     restoration, not traffic. *)

@@ -11,15 +11,17 @@ type gc_backend =
   | Real  (** actually garble and evaluate circuits (tests, small benches) *)
   | Sim   (** evaluate in the clear inside the runtime; identical cost accounting *)
 
+(** Security parameters (bits), fixed: wire labels are 128-bit blocks. *)
+let kappa = 128
+let sigma = 40
+
 type t = {
   comm : Comm.t;
   ring : Zn.t;
-  kappa : int;        (** computational security parameter (bits) *)
-  sigma : int;        (** statistical security parameter (bits) *)
   gc_backend : gc_backend;
-  domains : int;      (** parallelism of the batch-garbling engine *)
   pool : Domain_pool.t Lazy.t;
-      (** the work pool, spawned on first parallel batch; size [domains] *)
+      (** the work pool of the batch-garbling engine, spawned on first
+          parallel batch *)
   prg_alice : Prg.t;
   prg_bob : Prg.t;
   dealer : Prg.t;
@@ -33,13 +35,6 @@ type t = {
           classic pure-accounting simulation *)
   checkpoint : Checkpoint.sink option;
       (** durable snapshot stream for the run, if checkpointing is on *)
-  mutable batch_ctxs : t array;
-      (** the batch engine's cache of per-item contexts ([[||]] until the
-          first batch): private channel/PRGs/counters reused across
-          batches so steady-state [map_batch] allocates no per-item
-          context state. Owned by {!Gc_protocol.map_batch}; reseeded and
-          reset per batch, so nothing here carries state between
-          batches. *)
   mutable cancel : Deadline.t;
       (** the query's cancel token (deadline / memory budget / explicit),
           checked at phase boundaries, batch-item claims, and transport
@@ -59,20 +54,16 @@ type t = {
           received payload against it *)
 }
 
-(* Totals + observers only, no registry mirror: for folding in work that
-   a parallel item context already mirrored when it did the work. *)
-let bump_merged t counter n =
-  let i = Trace_sink.counter_index counter in
-  t.counters.(i) <- t.counters.(i) + n;
-  match Comm.observers t.comm with
-  | [] -> ()
-  | os -> List.iter (fun o -> o.Trace_sink.bump counter n) os
-
 (** Bump a typed primitive counter: always added to the context's running
     totals, announced to the attached observers, and mirrored into the
-    metrics registry when metrics are enabled. *)
+    metrics registry when metrics are enabled. The one counter path:
+    batch items never bump, their callers account them. *)
 let bump t counter n =
-  bump_merged t counter n;
+  let i = Trace_sink.counter_index counter in
+  t.counters.(i) <- t.counters.(i) + n;
+  (match Comm.observers t.comm with
+  | [] -> ()
+  | os -> List.iter (fun o -> o.Trace_sink.bump counter n) os);
   Trace_sink.registry_bump counter n
 
 (* With a transport attached, every [Comm.send] moves a payload of the
@@ -113,10 +104,8 @@ let wire_of ~schema transport =
           Protocol_schema.validate s ~kind ~expect_body:(Bytes.length body) echoed
         done
 
-let create ?(bits = 32) ?(kappa = 128) ?(sigma = 40) ?(gc_backend = Sim)
-    ?(domains = 1) ?transport ?checkpoint
+let create ?(bits = 32) ?(gc_backend = Sim) ?(domains = 1) ?transport ?checkpoint
     ?cancel ?supervisor ~seed () =
-  let domains = max 1 domains in
   let master = Prg.create seed in
   let cancel = match cancel with Some c -> c | None -> Deadline.never () in
   let schema =
@@ -126,10 +115,7 @@ let create ?(bits = 32) ?(kappa = 128) ?(sigma = 40) ?(gc_backend = Sim)
     {
       comm = Comm.create ();
       ring = Zn.create bits;
-      kappa;
-      sigma;
       gc_backend;
-      domains;
       pool = lazy (Domain_pool.create domains);
       prg_alice = Prg.split master;
       prg_bob = Prg.split master;
@@ -137,7 +123,6 @@ let create ?(bits = 32) ?(kappa = 128) ?(sigma = 40) ?(gc_backend = Sim)
       counters = Array.make Trace_sink.n_counters 0;
       transport;
       checkpoint;
-      batch_ctxs = [||];
       cancel;
       supervisor;
       current_label = "init";
@@ -237,18 +222,6 @@ let restore_counters t totals =
       (Printf.sprintf "Context.restore_counters: %d totals, expected %d"
          (Array.length totals) Trace_sink.n_counters);
   Array.blit totals 0 t.counters 0 Trace_sink.n_counters
-
-(** Fold a private counter delta (e.g. a parallel worker's) into this
-    context: totals and the attached observers both see one bump per
-    nonzero counter. Call from the domain that owns the context. The metrics
-    registry is deliberately {e not} re-bumped: the item context that did
-    the work already mirrored it there. *)
-let merge_counters t (counts : int array) =
-  List.iter
-    (fun c ->
-      let n = counts.(Trace_sink.counter_index c) in
-      if n <> 0 then bump_merged t c n)
-    Trace_sink.all_counters
 
 let prg_of t = function
   | Party.Alice -> t.prg_alice

@@ -7,15 +7,19 @@ type gc_backend =
   | Real  (** actually garble and evaluate circuits (tests, small benches) *)
   | Sim   (** clear evaluation inside the runtime; identical accounted cost *)
 
+(** Computational security parameter κ = 128 bits. Fixed: wire labels
+    are 128-bit blocks, so any other κ would account [Real] wrongly. *)
+val kappa : int
+
+(** Statistical security parameter σ = 40 bits. *)
+val sigma : int
+
 type t = {
   comm : Comm.t;
   ring : Zn.t;
-  kappa : int;        (** computational security parameter (bits) *)
-  sigma : int;        (** statistical security parameter (bits) *)
   gc_backend : gc_backend;
-  domains : int;      (** parallelism of the batch-garbling engine *)
   pool : Domain_pool.t Lazy.t;
-      (** the work pool, spawned on first parallel batch; size [domains] *)
+      (** the batch engine's work pool, spawned on first parallel batch *)
   prg_alice : Prg.t;
   prg_bob : Prg.t;
   dealer : Prg.t;
@@ -28,9 +32,6 @@ type t = {
           classic pure-accounting simulation *)
   checkpoint : Checkpoint.sink option;
       (** durable snapshot stream for the run, if checkpointing is on *)
-  mutable batch_ctxs : t array;
-      (** the batch engine's per-item context cache ([[||]] until the
-          first batch); owned and recycled by [Gc_protocol.map_batch] *)
   mutable cancel : Deadline.t;
       (** the query's cancel token; checked at phase boundaries,
           batch-item claims, and transport waits. Prefer {!set_cancel}
@@ -52,10 +53,9 @@ type t = {
 }
 
 (** Defaults match the paper's evaluation: bits = 32 annotation ring,
-    kappa = 128, sigma = 40, simulated GC backend,
-    [domains = 1] (fully sequential). [domains > 1] parallelizes the GC
-    batch entry points with bit-identical results, communication, and
-    rounds (see DESIGN.md §9). [transport] attaches a real framed channel
+    simulated GC backend, [domains = 1] (fully sequential). [domains > 1]
+    parallelizes the GC batch entry points with bit-identical results,
+    communication, and rounds (see DESIGN.md §9). [transport] attaches a real framed channel
     behind [Comm.send] (see DESIGN.md §10): every declared transfer then
     physically crosses it with timeout/retry protection, resilience
     events surface as the [Retries]/[Timeouts]/[Frames_corrupted] trace
@@ -73,10 +73,9 @@ type t = {
     an unfired token and a supervised pool are observationally identical
     to the defaults. *)
 val create :
-  ?bits:int -> ?kappa:int -> ?sigma:int -> ?gc_backend:gc_backend ->
-  ?domains:int -> ?transport:Secyan_net.Resilient.t ->
-  ?checkpoint:Checkpoint.sink -> ?cancel:Deadline.t ->
-  ?supervisor:Domain_pool.supervisor -> seed:int64 -> unit -> t
+  ?bits:int -> ?gc_backend:gc_backend -> ?domains:int ->
+  ?transport:Secyan_net.Resilient.t -> ?checkpoint:Checkpoint.sink ->
+  ?cancel:Deadline.t -> ?supervisor:Domain_pool.supervisor -> seed:int64 -> unit -> t
 
 (** The context's work pool (spawned on first use). *)
 val pool : t -> Domain_pool.t
@@ -116,7 +115,8 @@ val check_cancel : t -> unit
 val with_span : t -> string -> (unit -> 'a) -> 'a
 
 (** Bump a typed primitive counter: always added to the context's running
-    totals, and announced to the attached observers. *)
+    totals, announced to the attached observers, and mirrored into the
+    metrics registry when it is enabled. The only counter path. *)
 val bump : t -> Trace_sink.counter -> int -> unit
 
 (** A copy of the context's counter totals (index with
@@ -128,11 +128,6 @@ val counter_totals : t -> int array
     happened, in the run being resumed.
     @raise Invalid_argument on a wrong-length array. *)
 val restore_counters : t -> int array -> unit
-
-(** Fold a private counter delta (e.g. a parallel worker's) into this
-    context: totals and the attached observers both see one bump per
-    nonzero counter. Call from the domain that owns the context. *)
-val merge_counters : t -> int array -> unit
 
 (** Run [f] and return its result together with the communication it
     generated. *)

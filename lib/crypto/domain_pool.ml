@@ -27,8 +27,8 @@
     check passed; aborters and the supervisor wait for [active] to reach
     zero (minus known-hung workers). Under SC atomics this means: once
     an observer has seen [abort] set and [active] drained, no
-    participant can touch another item or write into the batch's
-    recycled per-item contexts — the batch is quiescent, not merely
+    participant can touch another item or draw from the batch's
+    recycled item PRGs — the batch is quiescent, not merely
     abandoned. That ordering is the whole point; do not reorder the
     [active] increment after the abort check.
 

@@ -84,7 +84,7 @@ val run_inline : ?cancel:Secyan_deadline.t -> t -> n:int -> f:(int -> unit) -> u
     [Worker_hung]. On a poisoned, shut-down, or size-1 pool the batch
     runs sequentially on the caller with the same fail-fast contract.
     Determinism note: item results must not depend on which domain runs
-    them (they do not — per-item contexts are seeded by item index), so
+    them (they do not — batch items are seeded by item index), so
     supervised and plain runs produce bit-identical results.
 
     @raise Pool_failure with the first fault, after quiescence (for

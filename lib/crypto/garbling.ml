@@ -19,9 +19,10 @@
     items. The boxed {!Label} module remains the representation at the
     protocol boundary (input encoding, output labels).
 
-    {!Garbling_reference} preserves the pre-arena boxed implementation;
-    the test suite asserts both paths are bit-identical and the bench
-    harness uses it as the allocation baseline. *)
+    The test-only [Garbling_reference] library ([test/reference])
+    preserves the pre-arena boxed implementation; the test suite asserts
+    both paths are bit-identical and the bench harness uses it as the
+    allocation baseline. *)
 
 module Label = struct
   type t = { hi : int64; lo : int64 }

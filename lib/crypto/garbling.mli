@@ -14,8 +14,9 @@
     {!Arena} reused across batch items. {!Label.t} remains the boxed
     representation at the protocol boundary.
 
-    {!Garbling_reference} preserves the previous boxed implementation as
-    a differential baseline (bit-identity is asserted in the tests). *)
+    The test-only [Garbling_reference] library ([test/reference])
+    preserves the previous boxed implementation as a differential
+    baseline (bit-identity is asserted in the tests). *)
 
 module Label : sig
   type t = { hi : int64; lo : int64 }

@@ -21,11 +21,12 @@
     constant number of rounds.
 
     Batches fan their independent items across the context's
-    {!Domain_pool} ([Context.domains], default 1 = sequential). Each item
-    runs in a per-item context whose PRGs are split sequentially from the
-    shared streams and whose channel/counters are private, merged once
-    per batch — so results, communication, rounds, and primitive counters
-    are bit-identical for every pool size (see DESIGN.md §9).
+    {!Domain_pool} (default 1 domain = sequential). An item sees only an
+    {!item}: its own PRGs, split sequentially from the shared streams,
+    and the ring — never the channel, the counters or the schema. What a
+    batch costs depends on the circuit's shape alone, so the caller
+    accounts it once, and results, communication, rounds and primitive
+    counters are bit-identical for every pool size (see DESIGN.md §9).
 
     Alice is always the generator, Bob the evaluator. *)
 
@@ -40,6 +41,10 @@ type built = {
   circuit : Boolean_circuit.t;
   output_widths : int list;
 }
+
+(* Everything one batch item may touch: its own randomness (Alice's
+   garbling stream and the dealer's) and the ring. *)
+type item = { mutable ring : Zn.t; prg_alice : Prg.t; dealer : Prg.t }
 
 (* The (owner, bit) assignment for every input wire of a circuit built from
    [inputs], in wire order. *)
@@ -92,7 +97,7 @@ let build_circuit ctx ~inputs ~build =
    garbled tables, garbler input labels, evaluator input OTs. Rounds are
    bumped separately, once per batch. *)
 let account_executions ctx (bc : built) (sample_bits : (Party.t * bool) array) ~times =
-  let kappa = ctx.Context.kappa in
+  let kappa = Context.kappa in
   let comm = ctx.Context.comm in
   let n_bob_inputs =
     Array.fold_left
@@ -117,13 +122,13 @@ let account_executions ctx (bc : built) (sample_bits : (Party.t * bool) array) ~
    XOR of the two is the cleartext bit. *)
 type bool_share = { alice_bit : bool; bob_bit : bool }
 
-let run_real ctx (bc : built) (input_bits : (Party.t * bool) array) : bool_share array =
+let run_real (it : item) (bc : built) (input_bits : (Party.t * bool) array) : bool_share array =
   (* The executing domain's arena: garble writes its planes there and
      eval reuses them in place, so the whole item runs without per-gate
      or per-wire allocation; the planes are recycled by the next item on
      this domain (after the [bool_share]s below are built). *)
   let arena = Garbling.Arena.current () in
-  let g = Garbling.garble ~arena ctx.Context.prg_alice bc.circuit in
+  let g = Garbling.garble ~arena it.prg_alice bc.circuit in
   (* Bob's labels arrive via OT (accounted by the caller); functionally he
      receives exactly the label of his input bit — selecting the active
      label per input below is that exchange, collapsed into the plane. *)
@@ -133,49 +138,64 @@ let run_real ctx (bc : built) (input_bits : (Party.t * bool) array) : bool_share
     (fun i ->
       { alice_bit = Garbling.decode_bit g i; bob_bit = Bytes.get colors i = '\001' })
 
-let run_sim ctx (bc : built) (input_bits : (Party.t * bool) array) : bool_share array =
+let run_sim (it : item) (bc : built) (input_bits : (Party.t * bool) array) : bool_share array =
   let clear = Boolean_circuit.eval bc.circuit (Array.map snd input_bits) in
   (* Fresh random Boolean sharing of each output bit. *)
   Array.map
     (fun bit ->
-      let r = Prg.bool ctx.Context.dealer in
+      let r = Prg.bool it.dealer in
       { alice_bit = r; bob_bit = bit <> r })
     clear
 
-let run_with ctx bc input_bits =
-  match ctx.Context.gc_backend with
-  | Context.Real -> run_real ctx bc input_bits
-  | Context.Sim -> run_sim ctx bc input_bits
+let run_with backend it bc input_bits =
+  match backend with
+  | Context.Real -> run_real it bc input_bits
+  | Context.Sim -> run_sim it bc input_bits
 
 (* daBit-based Boolean-to-arithmetic conversion of one word of Yao/Boolean
    shares: the dealer supplies each random bit r both XOR-shared and
    arithmetically shared; the parties open x XOR r and correct linearly.
-   Costs accounted per the ABY OT-based construction; the openings of a
-   whole batch travel in one message each way (rounds bumped by caller). *)
-let b2a ctx (bits : bool_share array) : Secret_share.t =
+   An item has no context, so this works on the ring directly, drawing r
+   and its sharing from the dealer as [Secret_share.fresh_of_value]
+   does. The cost is accounted by [account_b2a], once per batch. *)
+let b2a (it : item) (bits : bool_share array) : Secret_share.t =
+  let ring = it.ring in
+  let one = Zn.norm ring 1L in
+  let a = ref 0L and b = ref 0L in
+  for i = 0 to Array.length bits - 1 do
+    let r_bool = Prg.bool it.dealer in
+    (* the dealer's fresh arithmetic sharing of r *)
+    let ra = Zn.random ring it.dealer in
+    let rb = Zn.sub ring (if r_bool then one else 0L) ra in
+    let m = (bits.(i).alice_bit <> bits.(i).bob_bit) <> r_bool in
+    (* [x] = m + [r] - 2 m [r]  (m public) *)
+    let xa, xb =
+      if m then (Zn.add ring (Zn.neg ring ra) one, Zn.neg ring rb) else (ra, rb)
+    in
+    let weight = Zn.norm ring (Int64.shift_left 1L i) in
+    a := Zn.add ring !a (Zn.mul ring xa weight);
+    b := Zn.add ring !b (Zn.mul ring xb weight)
+  done;
+  { Secret_share.a = !a; b = !b }
+
+(* The B2A cost of [times] items, each converting one word per output
+   width, priced per the ABY OT-based construction: the openings of a
+   whole batch travel in one message each way (rounds bumped by the
+   caller). *)
+let account_b2a ctx widths ~times =
   let comm = ctx.Context.comm in
-  let width = Array.length bits in
-  Context.bump ctx Trace_sink.B2a_words 1;
-  Context.bump ctx Trace_sink.Ots width;
-  Comm.send comm ~from:Party.Alice
-    ~bits:(Cost_model.b2a_word_bits ~kappa:ctx.Context.kappa ~bits:width / 2);
-  Comm.send comm ~from:Party.Bob
-    ~bits:(Cost_model.b2a_word_bits ~kappa:ctx.Context.kappa ~bits:width / 2);
-  let acc = ref Secret_share.zero in
-  Array.iteri
-    (fun i bs ->
-      let r_bool = Prg.bool ctx.Context.dealer in
-      let r_arith = Secret_share.fresh_of_value ctx (if r_bool then 1L else 0L) in
-      let x = bs.alice_bit <> bs.bob_bit in
-      let m = x <> r_bool in
-      (* [x] = m + [r] - 2 m [r]  (m public) *)
-      let xi =
-        if m then Secret_share.add_public ctx (Secret_share.neg ctx r_arith) 1L else r_arith
-      in
-      let weighted = Secret_share.scale_public ctx xi (Int64.shift_left 1L i) in
-      acc := Secret_share.add ctx !acc weighted)
-    bits;
-  !acc
+  let half_bits =
+    times
+    * List.fold_left
+        (fun acc w -> acc + (Cost_model.b2a_word_bits ~kappa:Context.kappa ~bits:w / 2))
+        0 widths
+  in
+  Context.bump ctx Trace_sink.Ots (times * List.fold_left ( + ) 0 widths);
+  Context.bump ctx Trace_sink.B2a_words (times * List.length widths);
+  if half_bits > 0 then begin
+    Comm.send comm ~from:Party.Alice ~bits:half_bits;
+    Comm.send comm ~from:Party.Bob ~bits:half_bits
+  end
 
 (* Slice the flat output-bit array back into words. *)
 let slice_outputs widths (flat : 'a array) =
@@ -187,7 +207,7 @@ let slice_outputs widths (flat : 'a array) =
 
 (* Batch-shape histograms for the contention profile: how large the
    parallel fan-outs are and how long each takes end to end (including
-   the pool barrier and the per-batch delta merge). *)
+   the pool barrier). *)
 let m_batch_items =
   lazy
     (Secyan_metrics.histogram
@@ -196,7 +216,7 @@ let m_batch_items =
 let m_batch_seconds =
   lazy
     (Secyan_metrics.histogram
-       ~help:"wall-clock seconds per GC parallel batch (pool barrier and merge included)"
+       ~help:"wall-clock seconds per GC parallel batch (pool barrier included)"
        "secyan_gc_batch_seconds")
 
 (* Allocation-rate observability (DESIGN.md §14): minor/major heap words
@@ -253,53 +273,38 @@ let m_supervision_failures =
        ~help:"supervised GC batches failed (item fault, hang, or shutdown)"
        "secyan_supervision_failures_total")
 
-(* The per-item contexts of a batch over [ctx]: the expensive allocated
-   state of each slot — the private channel, the three PRGs, the counter
-   array, any nested batch cache — is recycled across batches through
-   [ctx.batch_ctxs] and reseeded/reset per batch; only a fresh context
-   *record* per item is built each time. The record must be rebuilt, not
-   reused: record-copy views of a context (e.g. the ring override in
-   [Psi_shared_payload]) share the cache array, so a cached record could
-   carry immutable fields (ring, kappa, backend) of a different view
-   than the one running this batch.
+(* Recycled item PRGs. A batch takes the whole cache for its duration
+   and puts it back only when it completes, so concurrent batches never
+   share an item, and a failed batch — whose abandoned or hung worker
+   may still draw from its item — simply drops its items. *)
+let item_cache : item array Atomic.t = Atomic.make [||]
 
-   Child PRGs are reseeded *sequentially* from the shared streams in item
-   order — exactly the draws [Prg.split] made when contexts were fresh
-   per batch — so the derivation depends only on the item index, never on
-   scheduling or cache state, and results stay bit-identical for every
-   pool size and batch history. *)
-let prepare_item_ctxs ctx n : Context.t array =
-  let cached = ctx.Context.batch_ctxs in
-  let n_cached = Array.length cached in
-  let ctxs =
-    Array.init n (fun i ->
-        if i < n_cached then begin
-          let c = cached.(i) in
-          Prg.split_into ctx.Context.prg_alice c.Context.prg_alice;
-          Prg.split_into ctx.Context.prg_bob c.Context.prg_bob;
-          Prg.split_into ctx.Context.dealer c.Context.dealer;
-          Comm.reset c.Context.comm;
-          Array.fill c.Context.counters 0 Trace_sink.n_counters 0;
-          { ctx with Context.comm = c.Context.comm;
-            prg_alice = c.Context.prg_alice; prg_bob = c.Context.prg_bob;
-            dealer = c.Context.dealer; counters = c.Context.counters; batch_ctxs = c.Context.batch_ctxs;
-            schema = None }
-        end
-        else begin
-          let prg_alice = Prg.split ctx.Context.prg_alice in
-          let prg_bob = Prg.split ctx.Context.prg_bob in
-          let dealer = Prg.split ctx.Context.dealer in
-          (* [schema = None]: item channels have no wire, and workers must
-             not touch the shared state machine from their own domains. *)
-          { ctx with Context.comm = Comm.create (); prg_alice; prg_bob; dealer;
-            counters = Array.make Trace_sink.n_counters 0; batch_ctxs = [||];
-            schema = None }
-        end)
+(* The items of an [n]-item batch over [ctx] (the returned array may be
+   longer; a smaller batch reuses a prefix). Child PRGs are reseeded
+   *sequentially* from the shared streams in item order — exactly the
+   draws [Prg.split] makes — so each item's randomness depends only on
+   its index, never on scheduling or cache state. Bob's stream advances
+   by one split per item too, though no item draws from it: checkpoints
+   capture stream positions, so they must not depend on which streams
+   the items use. *)
+let take_items ctx n : item array =
+  let cached = Atomic.exchange item_cache [||] in
+  let ring = ctx.Context.ring in
+  let items =
+    if Array.length cached >= n then cached
+    else
+      Array.init n (fun i ->
+          if i < Array.length cached then cached.(i)
+          else { ring; prg_alice = Prg.create 0L; dealer = Prg.create 0L })
   in
-  (* Never shrink the cache: a smaller batch recycles a prefix and leaves
-     the rest for the next wide one. *)
-  if n > n_cached then ctx.Context.batch_ctxs <- ctxs;
-  ctxs
+  for i = 0 to n - 1 do
+    let it = items.(i) in
+    it.ring <- ring;
+    Prg.split_into ctx.Context.prg_alice it.prg_alice;
+    ignore (Prg.next_int64 ctx.Context.prg_bob : int64);
+    Prg.split_into ctx.Context.dealer it.dealer
+  done;
+  items
 
 (* Below this much known AND-gate work (items x AND gates per item) a
    plain batch runs inline on the caller: waking the pool's workers and
@@ -311,29 +316,26 @@ let inline_and_gates = 131_072
 
 (* Run [f] over the [n] independent batch items on the context's pool.
 
-   Each item gets a private context (see [prepare_item_ctxs]): a private
-   channel with no observers, and private PRGs/counters whose state is a function of
-   the item index alone. Item 0 runs on the caller — its result seeds the
+   Each item gets an {!item} (see [take_items]) whose PRG state is a
+   function of the item index alone; item code reaches nothing else of
+   the context, so it cannot send, bump or open a span, and the caller
+   accounts the batch. Item 0 runs on the caller — its result seeds the
    result array, so no [Option] box is ever created per item — and the
-   remaining items fan out over the pool. After the barrier the private
-   deltas are folded back into the parent context in one aggregated step
-   per direction: sums are order-independent, so tallies, span counters,
-   and observer totals are bit-identical for every pool size, including
-   1. Item code must not open spans (no observer sees them).
+   remaining items fan out over the pool.
 
    [and_gates] is the AND-gate count of one item: a plain batch whose
    total is below [inline_and_gates] runs inline through the pool's
    sequential path ({!Domain_pool.run_inline}), which spawns no worker
    and charges the caller's timeline. Supervised batches always use the
    workers. *)
-let map_batch ctx ~n ~and_gates (f : Context.t -> int -> 'a) : 'a array =
+let map_batch ctx ~n ~and_gates (f : item -> int -> 'a) : 'a array =
   if n = 0 then [||]
   else begin
     (* Phase-boundary check: a batch never starts under a fired token. *)
     Context.check_cancel ctx;
     let metrics_on = Secyan_metrics.enabled () in
     let t_start = if metrics_on then Unix.gettimeofday () else 0. in
-    let item_ctxs = prepare_item_ctxs ctx n in
+    let items = take_items ctx n in
     (* Global item ids for deterministic fault injection: batches are
        submitted sequentially, so [base + i] identifies this item across
        runs of the same query. Constant 0 while disarmed. *)
@@ -344,14 +346,14 @@ let map_batch ctx ~n ~and_gates (f : Context.t -> int -> 'a) : 'a array =
         if metrics_on then begin
           let minor0 = Gc.minor_words () in
           let major0 = (Gc.quick_stat ()).Gc.major_words in
-          let r = f item_ctxs.(i) i in
+          let r = f items.(i) i in
           let minor1 = Gc.minor_words () in
           Secyan_metrics.observe (Lazy.force m_item_minor_words) (minor1 -. minor0);
           Secyan_metrics.observe (Lazy.force m_item_major_words)
             ((Gc.quick_stat ()).Gc.major_words -. major0);
           r
         end
-        else f item_ctxs.(i) i
+        else f items.(i) i
       with e ->
         (* The claiming domain's arena may hold a half-written circuit;
            reset it so no later item garbles over dirty label material
@@ -405,12 +407,10 @@ let map_batch ctx ~n ~and_gates (f : Context.t -> int -> 'a) : 'a array =
                              cause = Batch_item_raised
                                  { message = Printexc.to_string exn } }))
               | Domain_pool.Worker_hung { slot; item; silent_s } ->
-                  (* The hung worker may eventually resume and write into
-                     its recycled per-item context; drop the whole cache
-                     so no later batch can reuse state it might touch.
-                     The pool itself is already poisoned (sequential from
+                  (* The hung worker may resume and draw from its item;
+                     the items are not put back, so no later batch reuses
+                     them. The pool is already poisoned (sequential from
                      here on). *)
-                  ctx.Context.batch_ctxs <- [||];
                   raise
                     (Supervision_error
                        { phase; item = fault_base + item;
@@ -425,18 +425,7 @@ let map_batch ctx ~n ~and_gates (f : Context.t -> int -> 'a) : 'a array =
             (function Some r -> r | None -> assert false (* barrier: all ran *))
             slots
     in
-    let a_bits = ref 0 and b_bits = ref 0 and rounds = ref 0 in
-    for i = 0 to n - 1 do
-      let ictx = item_ctxs.(i) in
-      let t = Comm.tally ictx.Context.comm in
-      a_bits := !a_bits + t.Comm.alice_to_bob_bits;
-      b_bits := !b_bits + t.Comm.bob_to_alice_bits;
-      rounds := !rounds + t.Comm.rounds;
-      Context.merge_counters ctx ictx.Context.counters
-    done;
-    if !a_bits > 0 then Comm.send ctx.Context.comm ~from:Party.Alice ~bits:!a_bits;
-    if !b_bits > 0 then Comm.send ctx.Context.comm ~from:Party.Bob ~bits:!b_bits;
-    if !rounds > 0 then Comm.bump_rounds ctx.Context.comm !rounds;
+    Atomic.set item_cache items;
     if metrics_on then begin
       Secyan_metrics.observe (Lazy.force m_batch_items) (float_of_int n);
       Secyan_metrics.observe (Lazy.force m_batch_seconds) (Unix.gettimeofday () -. t_start)
@@ -465,13 +454,15 @@ let eval_to_shares_batch ctx ~(items : input list array) ~build : Secret_share.t
       all_bits;
     account_executions ctx bc all_bits.(0) ~times:(Array.length items);
     Comm.bump_rounds ctx.Context.comm 2;
+    let backend = ctx.Context.gc_backend in
     let results =
       map_batch ctx ~n:(Array.length items) ~and_gates:(Boolean_circuit.and_count bc.circuit)
-        (fun ictx i ->
-          let out_bits = run_with ictx bc all_bits.(i) in
+        (fun it i ->
+          let out_bits = run_with backend it bc all_bits.(i) in
           let words = slice_outputs bc.output_widths out_bits in
-          Array.of_list (List.map (b2a ictx) words))
+          Array.of_list (List.map (b2a it) words))
     in
+    account_b2a ctx bc.output_widths ~times:(Array.length items);
     Comm.bump_rounds ctx.Context.comm 1;
     results
 
@@ -494,9 +485,10 @@ let eval_reveal_batch ctx ~to_ ~(items : input list array) ~build : int64 array 
     let n_out = Boolean_circuit.n_outputs bc.circuit in
     Comm.send ctx.Context.comm ~from:(Party.other to_) ~bits:(Array.length items * n_out);
     Comm.bump_rounds ctx.Context.comm 1;
+    let backend = ctx.Context.gc_backend in
     map_batch ctx ~n:(Array.length items) ~and_gates:(Boolean_circuit.and_count bc.circuit)
-      (fun ictx i ->
-        let out_bits = run_with ictx bc all_bits.(i) in
+      (fun it i ->
+        let out_bits = run_with backend it bc all_bits.(i) in
         let words = slice_outputs bc.output_widths out_bits in
         Array.of_list
           (List.map

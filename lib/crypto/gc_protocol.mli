@@ -7,7 +7,9 @@
     and reused (garbled afresh per item under the [Real] backend; a whole
     batch costs a constant number of rounds). The [Sim] backend evaluates
     in the clear inside the runtime with bit-identical cost accounting
-    (asserted by the test suite). *)
+    (asserted by the test suite). A batch's cost depends on the circuit's
+    shape alone and is accounted once per batch on the calling domain;
+    items see only their own randomness. *)
 
 type input =
   | Priv of { owner : Party.t; value : int64; bits : int }
@@ -22,8 +24,9 @@ type supervision_cause =
       (** an item raised; the batch was abort-failed fail-fast *)
   | Batch_worker_hung of { slot : int; silent_s : float }
       (** a pool worker went silent mid-item; the pool is poisoned (later
-          batches run sequentially) and the recycled per-item context
-          cache was dropped so the abandoned worker can corrupt nothing *)
+          batches run sequentially) and the batch's recycled item PRGs
+          were dropped, so no later batch shares one with the abandoned
+          worker *)
   | Batch_shutdown of { unclaimed : int }
       (** the pool was shut down mid-batch *)
 

@@ -128,7 +128,7 @@ let apply_clear prog (data : 'a array) : 'a array =
 
 let account ctx prog =
   let bits_per_switch =
-    Cost_model.oep_switch_bits ~kappa:ctx.Context.kappa ~bits:(Context.ring_bits ctx)
+    Cost_model.oep_switch_bits ~kappa:Context.kappa ~bits:(Context.ring_bits ctx)
   in
   Context.bump ctx Trace_sink.Oep_switches (n_switches prog);
   let total = n_switches prog * bits_per_switch in

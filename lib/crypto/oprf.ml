@@ -22,10 +22,10 @@ let batch ctx ~sender ~out_bits ~(programming : (int64 * int64) list array)
   Context.with_span ctx "oprf:batch" @@ fun () ->
   let receiver = Party.other sender in
   let comm = ctx.Context.comm in
-  let per_bin = Cost_model.opprf_bin_bits ~kappa:ctx.Context.kappa ~sigma:ctx.Context.sigma in
+  let per_bin = Cost_model.opprf_bin_bits ~kappa:Context.kappa ~sigma:Context.sigma in
   (* receiver's OPRF evaluations (OT-extension traffic), then the sender's
      programmed hints *)
-  Comm.send comm ~from:receiver ~bits:(n_bins * ctx.Context.kappa);
+  Comm.send comm ~from:receiver ~bits:(n_bins * Context.kappa);
   Comm.send comm ~from:sender ~bits:(n_bins * per_bin);
   Comm.bump_rounds comm 2;
   let instance_key = Prg.next_int64 ctx.Context.dealer in

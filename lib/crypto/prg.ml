@@ -85,7 +85,7 @@ let split t = create (next_int64 t)
 (** [split_into t child] reseeds [child] in place with the derivation
     {!split} would use, consuming the same one draw from [t] — the
     allocation-free variant for callers that recycle child generators
-    (the GC batch engine's per-item contexts). *)
+    (the GC batch engine's recycled item PRGs). *)
 let split_into t child = reseed child (next_int64 t)
 
 (** The full generator state as four words; with {!set_state} this lets a

@@ -37,7 +37,7 @@ let n_bins r = Array.length r.ind
 
 (** Comparison width for the OPPRF targets: sigma bits of statistical
     security plus slack for the number of comparisons. *)
-let cmp_bits ctx = min 58 (ctx.Context.sigma + 16)
+let cmp_bits = min 58 (Context.sigma + 16)
 
 let with_payloads ctx ~receiver ~(alice_set : int64 array)
     ~(bob_set : int64 array) ~(bob_payloads : int64 array) : result =
@@ -53,7 +53,6 @@ let with_payloads ctx ~receiver ~(alice_set : int64 array)
   Context.with_span ctx "psi:payloads" @@ fun () ->
   let comm = ctx.Context.comm in
   let ring_bits = Context.ring_bits ctx in
-  let cmp = cmp_bits ctx in
   (* 1. The receiver builds the cuckoo table and sends the hash keys. *)
   let table =
     let context =
@@ -69,7 +68,7 @@ let with_payloads ctx ~receiver ~(alice_set : int64 array)
   (* 2. The sender simple-hashes Y and draws per-bin targets and masks. *)
   let bob_bins = Cuckoo_hash.simple_hash table.Cuckoo_hash.keys bob_set in
   let sender_prg = Context.prg_of ctx sender in
-  let targets = Array.init b (fun _ -> Prg.bits sender_prg cmp) in
+  let targets = Array.init b (fun _ -> Prg.bits sender_prg cmp_bits) in
   let masks = Array.init b (fun _ -> Prg.bits sender_prg ring_bits) in
   (* 3. Two batched OPPRFs: membership targets and masked payloads. *)
   let programming_target =
@@ -85,7 +84,9 @@ let with_payloads ctx ~receiver ~(alice_set : int64 array)
     Array.init b (fun i ->
         match table.Cuckoo_hash.slots.(i) with Some x -> x | None -> dummy_for_bin i)
   in
-  let got_target = Oprf.batch ctx ~sender ~out_bits:cmp ~programming:programming_target ~queries in
+  let got_target =
+    Oprf.batch ctx ~sender ~out_bits:cmp_bits ~programming:programming_target ~queries
+  in
   let got_payload =
     Oprf.batch ctx ~sender ~out_bits:ring_bits ~programming:programming_payload ~queries
   in
@@ -94,9 +95,9 @@ let with_payloads ctx ~receiver ~(alice_set : int64 array)
   let items =
     Array.init b (fun i ->
         [
-          Gc_protocol.Priv { owner = receiver; value = got_target.(i); bits = cmp };
+          Gc_protocol.Priv { owner = receiver; value = got_target.(i); bits = cmp_bits };
           Gc_protocol.Priv { owner = receiver; value = got_payload.(i); bits = ring_bits };
-          Gc_protocol.Priv { owner = sender; value = targets.(i); bits = cmp };
+          Gc_protocol.Priv { owner = sender; value = targets.(i); bits = cmp_bits };
           Gc_protocol.Priv { owner = sender; value = masks.(i); bits = ring_bits };
         ])
   in

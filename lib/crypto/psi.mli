@@ -20,7 +20,7 @@ type result = {
 val n_bins : result -> int
 
 (** Comparison width of the OPPRF targets (sigma plus slack). *)
-val cmp_bits : Context.t -> int
+val cmp_bits : int
 
 (** [with_payloads ctx ~receiver ~alice_set ~bob_set ~bob_payloads]: the
     receiver holds [alice_set], the other party holds [bob_set] with one

@@ -108,8 +108,8 @@ let registry_counters =
           all_counters))
 
 (** Forward one counter bump to the metrics registry (no-op when metrics
-    are disabled). [Context.bump] calls this exactly once per unit of
-    work — merged parallel-batch deltas do not re-forward. *)
+    are disabled). [Context.bump], the only counter path, calls this
+    once per bump. *)
 let registry_bump c n =
   if Secyan_metrics.enabled () then
     Secyan_metrics.add (Lazy.force registry_counters).(counter_index c) n

@@ -41,7 +41,7 @@ val counter_help : counter -> string
 
 (** Mirror one counter bump into the [Secyan_metrics] registry as
     [secyan_<name>_total] (no-op while metrics are disabled). Called by
-    [Context.bump] exactly once per unit of work. *)
+    [Context.bump], the only counter path, once per bump. *)
 val registry_bump : counter -> int -> unit
 
 (** An observer of one run. Build one as [{ noop with ... }] and attach

@@ -102,6 +102,8 @@ let observe ~seed q =
     revealed_size = Relation.cardinality revealed;
   }
 
+let transcript ~seed q = (observe ~seed q).transcript
+
 let check (t : Gen.instance) =
   let q = t.Gen.query in
   let seed = Int64.add t.Gen.seed (Int64.of_int (31 * (t.Gen.case + 1))) in

@@ -8,8 +8,8 @@
 
     Like {!Profile.attach_gc_sampler}, the reporter is one observer of
     the context's channel among any others, attached and detached in any
-    order. Bumps reach observers on the caller's domain only (parallel
-    batches merge worker counters before bumping), so rendering needs no
+    order. Bumps reach observers on the caller's domain only (batch items
+    never bump; the caller accounts each batch), so rendering needs no
     synchronization. *)
 
 open Secyan_crypto

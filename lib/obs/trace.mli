@@ -10,10 +10,9 @@
 
     The recording observer is single-domain: only the domain that
     attached the tracer may touch it. Parallel batches respect this:
-    each worker item runs on a private channel with no observers and a
-    private counter array, and the owning domain folds the deltas in once
-    per batch ([Context.merge_counters] and one [Comm.send] per
-    direction), so traced parallel runs yield the same span tree —
+    batch items reach only their own PRGs and the ring, never the
+    channel, and the calling domain accounts each batch from the
+    circuit's shape, so traced parallel runs yield the same span tree —
     traffic, rounds, and counters — as sequential ones. *)
 
 open Secyan_crypto

@@ -632,8 +632,8 @@ let test_gc_small_batch_inline () =
       end)
     tls
 
-(* One context through batches of changing widths: the per-item context
-   cache grows, gets reused as a prefix, and regrows; every batch must
+(* One context through batches of changing widths: the item PRG cache
+   grows, gets reused as a prefix, and regrows; every batch must
    still reveal the right values. *)
 let test_gc_batch_cache_reuse () =
   let ctx = Context.create ~gc_backend:Context.Real ~domains:2 ~seed:42L () in
@@ -664,6 +664,82 @@ let test_gc_real_sim_agreement () =
   Alcotest.(check bool) "reconstructed outputs agree" true (r_real = r_sim);
   Alcotest.(check bool) "revealed outputs agree" true (v_real = v_sim);
   Alcotest.(check bool) "comm tallies agree" true (Comm.equal t_real t_sim)
+
+(* One batch through each entry point at a fixed seed: a shared input,
+   outputs of mixed widths (32, 1 and 16 bits). Returns the shares, the
+   revealed values, the tally, the counter totals, and the next draw of
+   each context stream. *)
+let gc_pin_fixture backend =
+  let ctx = Context.create ~gc_backend:backend ~seed:77L () in
+  let prg = Prg.create 5L in
+  let items =
+    Array.init 4 (fun _ ->
+        [
+          Gc_protocol.Priv { owner = Party.Alice; value = Prg.bits prg 16; bits = 16 };
+          Gc_protocol.Priv { owner = Party.Bob; value = Prg.bits prg 16; bits = 16 };
+          Gc_protocol.Shared (Secret_share.share ctx ~owner:Party.Bob (Prg.bits prg 20));
+        ])
+  in
+  let build b (w : Circuits.word array) =
+    [
+      Circuits.add_word b w.(2) w.(2);
+      [| Circuits.lt_word b w.(0) w.(1) |];
+      Circuits.mul_word b w.(0) w.(1);
+    ]
+  in
+  let shares = Gc_protocol.eval_to_shares_batch ctx ~items ~build in
+  let revealed = Gc_protocol.eval_reveal_batch ctx ~to_:Party.Alice ~items ~build in
+  let draws =
+    List.map Prg.next_int64 [ ctx.Context.prg_alice; ctx.Context.prg_bob; ctx.Context.dealer ]
+  in
+  (shares, revealed, Comm.tally ctx.Context.comm, Context.counter_totals ctx, draws)
+
+(* Values captured once and pinned: a change to which stream an item
+   draws from, or how far a batch advances a stream, shows here even
+   when every same-build comparison still agrees. *)
+let test_gc_batch_pinned () =
+  let revealed_pin =
+    [|
+      [| 604842L; 0L; 26000L |];
+      [| 1722914L; 0L; 2906L |];
+      [| 1056732L; 1L; 54332L |];
+      [| 798894L; 1L; 45466L |];
+    |]
+  in
+  List.iter
+    (fun (name, backend, share_pin) ->
+      let shares, revealed, tally, counters, draws = gc_pin_fixture backend in
+      Alcotest.(check (array (array (pair int64 int64))))
+        (name ^ " shares") share_pin
+        (Array.map (Array.map (fun s -> (s.Secret_share.a, s.Secret_share.b))) shares);
+      Alcotest.(check (array (array int64))) (name ^ " revealed") revealed_pin revealed;
+      Alcotest.(check (list int))
+        (name ^ " tally") [ 816388; 67144; 6 ]
+        [ tally.Comm.alice_to_bob_bits; tally.Comm.bob_to_alice_bits; tally.Comm.rounds ];
+      Alcotest.(check (array int))
+        (name ^ " counters") [| 2544; 580; 0; 0; 12; 8; 0; 0; 0; 0; 0 |] counters;
+      Alcotest.(check (list int64))
+        (name ^ " next draws (alice, bob, dealer)")
+        [ -7646232861577976025L; 2550292152445519472L; -5470726267940370465L ]
+        draws)
+    [
+      ( "Real",
+        Context.Real,
+        [|
+          [| (4060231358L, 235340780L); (3984071185L, 310896111L); (1069318620L, 3225674676L) |];
+          [| (3175805204L, 1120885006L); (3765966658L, 529000638L); (322262800L, 3972707402L) |];
+          [| (3206767755L, 1089256273L); (1668983055L, 2625984242L); (152284427L, 4142737201L) |];
+          [| (3905817319L, 389948871L); (4183560374L, 111406923L); (3285968127L, 1009044635L) |];
+        |] );
+      ( "Sim",
+        Context.Sim,
+        [|
+          [| (2012120172L, 2283451966L); (2491376856L, 1803590440L); (2788424623L, 1506568673L) |];
+          [| (622631433L, 3674058777L); (1127233420L, 3167733876L); (2336710598L, 1958259604L) |];
+          [| (694529582L, 3601494446L); (4115598760L, 179368537L); (409175645L, 3885845983L) |];
+          [| (2037716801L, 2258049389L); (1505547071L, 2789420226L); (3406472508L, 888540254L) |];
+        |] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Permutation networks *)
@@ -1577,6 +1653,7 @@ let () =
           Alcotest.test_case "backends same cost" `Quick test_gc_backends_same_cost;
           Alcotest.test_case "reveal" `Quick test_gc_reveal;
           Alcotest.test_case "real/sim backend agreement" `Quick test_gc_real_sim_agreement;
+          Alcotest.test_case "batch values pinned" `Quick test_gc_batch_pinned;
         ]
         @ qsuite [ gc_random_agreement ] );
       ( "domain-pool",

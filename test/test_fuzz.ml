@@ -1,9 +1,9 @@
 (* The fuzz subsystem under test: generator determinism, the differential
-   oracle on a fixed-seed corpus, the obliviousness auditor, seed-file
-   corpus roundtrips, the shrinker, and deterministic edge-case instances
-   that past campaigns surfaced (empty leaves, single tuples, all-dummy
-   inputs, boundary annotations, duplicate tuples, the 1-bit boolean
-   cross-party fold). *)
+   oracle on a fixed-seed corpus, the obliviousness auditor and its
+   pinned transcripts, seed-file corpus roundtrips, the shrinker, and
+   deterministic edge-case instances that past campaigns surfaced (empty
+   leaves, single tuples, all-dummy inputs, boundary annotations,
+   duplicate tuples, the 1-bit boolean cross-party fold). *)
 
 open Secyan_fuzz
 open Secyan_relational
@@ -244,6 +244,33 @@ let test_audit_passes () =
   Alcotest.(check (list string)) "no divergence" [] r.Audit.details;
   Alcotest.(check bool) "ok" true r.Audit.ok
 
+(* The audit transcripts of Q3 and Q18 at preset xs (Sim, seed 42),
+   pinned by the SHA-256 of every line but the counter bumps ([B]):
+   spans, sends and round bumps must not drift. The [B] lines are left
+   out because how a batch's counters are split into bump events is not
+   part of the transcript's contract; the totals are pinned elsewhere. *)
+let test_audit_transcript_pinned () =
+  let d =
+    Secyan_tpch.Datagen.generate ~sf:(Secyan_tpch.Datagen.preset_sf "xs") ~seed:1L
+  in
+  List.iter
+    (fun (name, query, expected) ->
+      Value.reset_dummies ();
+      let lines = String.split_on_char '\n' (Audit.transcript ~seed:42L (query d)) in
+      let kept = List.filter (fun l -> not (String.starts_with ~prefix:"B " l)) lines in
+      Alcotest.(check string)
+        (name ^ " transcript digest")
+        expected
+        Secyan_crypto.Sha256.(to_hex (digest_string (String.concat "\n" kept))))
+    [
+      ( "Q3",
+        Secyan_tpch.Queries.q3,
+        "be5fc6f0ec07770c2e503af41f3841a1d9f1cb70197ec9a9d82df4ef25a4e157" );
+      ( "Q18",
+        (fun d -> Secyan_tpch.Queries.q18 d),
+        "6a695571e2a6866593a9b6b6732446a796dab965b0173f3d31c1d91112bf7d40" );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Seed files                                                         *)
 
@@ -329,6 +356,7 @@ let () =
         [
           Alcotest.test_case "variant shape" `Quick test_variant_shape;
           Alcotest.test_case "audit passes" `Quick test_audit_passes;
+          Alcotest.test_case "transcript pinned" `Quick test_audit_transcript_pinned;
         ] );
       ( "seeds",
         [

@@ -128,7 +128,7 @@ let test_oep_counter_exact () =
   Alcotest.(check int) "switch counter exact" expected_switches
     (Span.counter root Trace_sink.Oep_switches);
   let per_switch =
-    Cost_model.oep_switch_bits ~kappa:ctx.Context.kappa ~bits:(Context.ring_bits ctx)
+    Cost_model.oep_switch_bits ~kappa:Context.kappa ~bits:(Context.ring_bits ctx)
   in
   Alcotest.(check int) "OEP bits = switches x per-switch cost"
     (expected_switches * per_switch)
