@@ -1,6 +1,7 @@
 (* Benchmark harness regenerating the paper's evaluation (§8.3).
 
-   Figures 2-6: for each TPC-H query (Q3, Q10, Q18, Q8, Q9) and each
+   Figures 2-6: for each TPC-H query (Q3, Q10, Q18, Q8, Q9; and Q1, Q4,
+   Q14 under extra-queries) of the [Queries] catalogue and each
    dataset scale, print the series the paper plots — running time and
    communication of secure Yannakakis, of the garbled-circuit baseline
    (measured at the smallest scale, extrapolated by exact gate count
@@ -10,7 +11,7 @@
    Also: design-choice ablations (PSI with clear vs secret-shared
    payloads; real vs simulated garbling) and Bechamel microbenches of the
    primitives. Select sections via argv: figure2..figure6, figures,
-   ablations, micro, all. *)
+   extra-queries, ablations, breakdown, micro, all. *)
 
 open Secyan_crypto
 open Secyan_relational
@@ -117,171 +118,125 @@ let print_series title points =
         (largest.gc_mb /. largest.secyan_mb)
   | [] -> ()
 
+(* Wall-clock of a computation that touches no protocol context (the
+   plaintext baselines); protocol runs are timed by [Trace.measure]. *)
 let time f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* Calibrate the garbled-circuit baseline once: run the real garbler over
-   a few product rows and measure seconds per AND gate. *)
-let calibrated_seconds_per_and = ref None
-
-let seconds_per_and q =
-  match !calibrated_seconds_per_and with
-  | Some s -> s
-  | None ->
-      let s = Secyan_smcql.Cartesian_gc.calibrate ~seed q ~rows:32 in
-      calibrated_seconds_per_and := Some s;
-      line "(garbled-circuit baseline calibrated: %.3g s per AND gate, real half-gates garbling)" s;
-      s
-
-(* One figure point for a query expressed as a single Query.t. The secure
-   run executes under a tracer so the record carries a per-phase
-   breakdown; the tracer adds only span bookkeeping to the timed region. *)
-let measure_simple_point ~section ~scale ~sf ~(make : Secyan_tpch.Datagen.dataset -> Secyan.Query.t) =
-  let d = Secyan_tpch.Datagen.generate ~sf ~seed in
-  let q = make d in
-  let eff = Secyan_tpch.Queries.effective_input_bytes q in
-  let ctx = Secyan_tpch.Queries.context ~seed () in
-  let ((_, stats), root), secyan_s =
-    time (fun () ->
-        Trace.with_tracing ~name:q.Secyan.Query.name ctx (fun () ->
-            Secyan.Secure_yannakakis.run ctx q))
-  in
-  let _, plain_s = time (fun () -> Secyan.Query.plaintext q) in
-  let est =
-    Secyan_smcql.Cartesian_gc.estimate ~seconds_per_and:(seconds_per_and q) ~kappa:128 q
-  in
-  let p =
-    {
-      scale;
-      eff_kb = float_of_int eff /. 1024.;
-      secyan_s;
-      secyan_mb = Comm.total_megabytes stats.Secyan.Secure_yannakakis.tally;
-      rounds = stats.Secyan.Secure_yannakakis.tally.Comm.rounds;
-      gc_s = est.Secyan_smcql.Cartesian_gc.seconds;
-      gc_mb = est.Secyan_smcql.Cartesian_gc.comm_bytes /. (1024. *. 1024.);
-      plain_s;
-      plain_mb = float_of_int eff /. (1024. *. 1024.);
-    }
-  in
-  record ~section ~query:q.Secyan.Query.name ~sf p ~phases:(phase_breakdown root);
-  p
-
 (* Settle the heap between measurement points so that one point's garbage
    does not distort the next point's timing. *)
 let settle () = Gc.compact ()
 
-let figure_simple ~section ~title ~make () =
-  let points =
-    List.map
-      (fun (scale, sf) ->
-        settle ();
-        measure_simple_point ~section ~scale ~sf ~make)
-      Secyan_tpch.Datagen.presets
+(* [interleaved ~reps variants] runs every variant once per round for
+   [reps] rounds, on a settled heap, the variants interleaved within each
+   round so host drift favours none of them; it returns each variant's
+   results in round order. Comparisons take the median of the per-round
+   paired ratios (a round's runs are back to back, so their ratio cancels
+   slow drift). This is the harness's one strategy for timing variants
+   against each other. *)
+let interleaved ~reps variants =
+  let rounds =
+    List.init reps (fun _ ->
+        List.map
+          (fun (key, run) ->
+            settle ();
+            (key, run ()))
+          variants)
   in
-  print_series title points
+  List.map (fun (key, _) -> (key, List.map (List.assoc key) rounds)) variants
 
-let figure2 () =
-  figure_simple ~section:"figure2" ~title:"Figure 2: TPC-H Query 3"
-    ~make:Secyan_tpch.Queries.q3 ()
+let median l =
+  let a = Array.of_list l in
+  Array.sort compare a;
+  a.(Array.length a / 2)
 
-let figure3 () =
-  figure_simple ~section:"figure3" ~title:"Figure 3: TPC-H Query 10"
-    ~make:Secyan_tpch.Queries.q10 ()
+module Queries = Secyan_tpch.Queries
+module Datagen = Secyan_tpch.Datagen
 
-let figure4 () =
-  figure_simple ~section:"figure4" ~title:"Figure 4: TPC-H Query 18"
-    ~make:(fun d -> Secyan_tpch.Queries.q18 d)
-    ()
+(* Calibrate the garbled-circuit baseline once, on Q3 at scale xs: run
+   the real garbler over a few product rows and measure seconds per AND
+   gate. *)
+let seconds_per_and =
+  lazy
+    (let q = Queries.q3 (Datagen.generate ~sf:(Datagen.preset_sf "xs") ~seed) in
+     let s = Secyan_smcql.Cartesian_gc.calibrate ~seed q ~rows:32 in
+     line "(garbled-circuit baseline calibrated: %.3g s per AND gate, real half-gates garbling)" s;
+     s)
 
-(* Q8: two secure runs + a division circuit per year (query composition). *)
-let figure5 () =
-  let points =
-    List.map
-      (fun (scale, sf) ->
-        settle ();
-        let d = Secyan_tpch.Datagen.generate ~sf ~seed in
-        let ctx = Secyan_tpch.Queries.context ~seed () in
-        let (r, root), secyan_s =
-          time (fun () ->
-              Trace.with_tracing ~name:"q8" ctx (fun () -> Secyan_tpch.Queries.run_q8 ctx d))
-        in
-        let _, plain_s = time (fun () -> Secyan_tpch.Queries.q8_plaintext d) in
-        let q_num = Secyan_tpch.Queries.q8_inner d ~numerator:true in
-        let eff = 2 * Secyan_tpch.Queries.effective_input_bytes q_num in
-        let est =
-          Secyan_smcql.Cartesian_gc.estimate ~seconds_per_and:(seconds_per_and q_num)
-            ~kappa:128 q_num
-        in
-        let p =
-          {
-            scale;
-            eff_kb = float_of_int eff /. 1024.;
-            secyan_s;
-            secyan_mb = Comm.total_megabytes r.Secyan_tpch.Queries.tally;
-            rounds = r.Secyan_tpch.Queries.tally.Comm.rounds;
-            gc_s = 2. *. est.Secyan_smcql.Cartesian_gc.seconds;
-            gc_mb = 2. *. est.Secyan_smcql.Cartesian_gc.comm_bytes /. (1024. *. 1024.);
-            plain_s;
-            plain_mb = float_of_int eff /. (1024. *. 1024.);
-          }
-        in
-        record ~section:"figure5" ~query:"Q8" ~sf p ~phases:(phase_breakdown root);
-        p)
-      Secyan_tpch.Datagen.presets
+(* One figure point: the catalogue entry's run at one scale, under a
+   tracer so the record carries a per-phase breakdown. A [sample]
+   (factor, run) stands in for the whole run above scale s: Figure 6's
+   oblivious per-nation Q9 runs cost exactly the same, so one nation is
+   measured and scaled by 25, and the x-axis counts one inner query.
+   Otherwise the effective input and the garbled-circuit baseline count
+   every protocol execution. *)
+let measure_point ~section ?sample (e : Queries.entry) (scale, sf) =
+  let d = Datagen.generate ~sf ~seed in
+  let inst = e.instantiate d in
+  let ctx = Queries.context ~seed () in
+  let factor, run =
+    match sample with
+    | Some (factor, run) when sf > 1.5e-4 -> (float_of_int factor, fun () -> run ctx d)
+    | _ -> (1., fun () -> inst.run ctx)
   in
-  print_series "Figure 5: TPC-H Query 8 (ratio of two sums, composed per section 7)" points
-
-(* Q9: 25 per-nation decompositions x 2 aggregates. The protocol is
-   oblivious, so every nation's run costs exactly the same: at the two
-   smallest scales all 25 nations are actually executed; above that one
-   nation is measured and scaled by 25. *)
-let figure6 () =
-  let points =
-    List.map
-      (fun (scale, sf) ->
-        settle ();
-        let d = Secyan_tpch.Datagen.generate ~sf ~seed in
-        let measure_nations nations =
-          let ctx = Secyan_tpch.Queries.context ~seed () in
-          time (fun () ->
-              Trace.with_tracing ~name:"q9" ctx (fun () ->
-                  Secyan_tpch.Queries.run_q9 ~nations ctx d))
-        in
-        let factor, ((r, root), secyan_s) =
-          if sf <= 1.5e-4 then
-            (1., measure_nations (List.init Secyan_tpch.Datagen.n_nations Fun.id))
-          else (float_of_int Secyan_tpch.Datagen.n_nations, measure_nations [ 2 ])
-        in
-        let _, plain_s = time (fun () -> Secyan_tpch.Queries.q9_plaintext d) in
-        let q_one = Secyan_tpch.Queries.q9_inner d ~nationkey:2 ~volume:true in
-        let eff = Secyan_tpch.Queries.effective_input_bytes q_one in
-        let est =
-          Secyan_smcql.Cartesian_gc.estimate ~seconds_per_and:(seconds_per_and q_one)
-            ~kappa:128 q_one
-        in
-        let n_runs = 2. *. float_of_int Secyan_tpch.Datagen.n_nations in
-        let p =
-          {
-            scale;
-            eff_kb = float_of_int eff /. 1024.;
-            secyan_s = secyan_s *. factor;
-            secyan_mb = Comm.total_megabytes r.Secyan_tpch.Queries.tally *. factor;
-            rounds = r.Secyan_tpch.Queries.tally.Comm.rounds;
-            gc_s = n_runs *. est.Secyan_smcql.Cartesian_gc.seconds;
-            gc_mb = n_runs *. est.Secyan_smcql.Cartesian_gc.comm_bytes /. (1024. *. 1024.);
-            plain_s;
-            plain_mb = float_of_int eff /. (1024. *. 1024.);
-          }
-        in
-        record ~section:"figure6" ~query:"Q9" ~sf p ~phases:(phase_breakdown root);
-        p)
-      Secyan_tpch.Datagen.presets
+  let o, root = Trace.with_tracing ~name:e.name ctx run in
+  let _, plain_s = time inst.plaintext in
+  let eff =
+    Queries.effective_input_bytes inst.query
+    * if Option.is_some sample then 1 else e.executions
   in
-  print_series
-    "Figure 6: TPC-H Query 9 (25 per-nation queries x 2 aggregates; one nation measured and x25 above scale s — oblivious runs cost the same per nation)"
-    points
+  let est =
+    Secyan_smcql.Cartesian_gc.estimate ~seconds_per_and:(Lazy.force seconds_per_and)
+      ~kappa:128 inst.query
+  in
+  let runs = float_of_int e.executions in
+  let p =
+    {
+      scale;
+      eff_kb = float_of_int eff /. 1024.;
+      secyan_s = o.seconds *. factor;
+      secyan_mb = Comm.total_megabytes o.tally *. factor;
+      rounds = o.tally.Comm.rounds;
+      gc_s = runs *. est.Secyan_smcql.Cartesian_gc.seconds;
+      gc_mb = runs *. est.Secyan_smcql.Cartesian_gc.comm_bytes /. (1024. *. 1024.);
+      plain_s;
+      plain_mb = float_of_int eff /. (1024. *. 1024.);
+    }
+  in
+  record ~section ~query:(String.uppercase_ascii e.name) ~sf p ~phases:(phase_breakdown root);
+  p
+
+(* Every catalogue query's series over the dataset presets: the section
+   that prints it, the entry, the title, and Figure 6's one-nation
+   sample. *)
+let series =
+  [
+    ("figure2", "q3", "Figure 2: TPC-H Query 3", None);
+    ("figure3", "q10", "Figure 3: TPC-H Query 10", None);
+    ("figure4", "q18", "Figure 4: TPC-H Query 18", None);
+    ("figure5", "q8", "Figure 5: TPC-H Query 8 (ratio of two sums, composed per section 7)", None);
+    ( "figure6", "q9",
+      "Figure 6: TPC-H Query 9 (25 per-nation queries x 2 aggregates; one nation measured and \
+       x25 above scale s — oblivious runs cost the same per nation)",
+      Some (Datagen.n_nations, fun ctx d -> Queries.run_q9 ~nations:[ 2 ] ctx d) );
+    ("extra-queries", "q1", "Beyond the paper: TPC-H Query 1 (single relation)", None);
+    ("extra-queries", "q4", "Beyond the paper: TPC-H Query 4 (EXISTS subquery)", None);
+    ("extra-queries", "q14", "Beyond the paper: TPC-H Query 14 (ratio composition)", None);
+  ]
+
+let figures section () =
+  List.iter
+    (fun (s, name, title, sample) ->
+      if s = section then
+        print_series title
+          (List.map
+             (fun preset ->
+               settle ();
+               measure_point ~section ?sample (Queries.find name) preset)
+             Datagen.presets))
+    series
 
 (* ------------------------------------------------------------------ *)
 (* Ablations *)
@@ -316,12 +271,11 @@ let ablation_psi () =
               sr.Secyan.Shared_relation.annots
           else sr
         in
-        let before = Comm.tally ctx.Context.comm in
-        let (_ : Secyan.Shared_relation.t), secs =
-          time (fun () ->
+        let (_ : Secyan.Shared_relation.t), secs, tally =
+          Trace.measure ctx (fun () ->
               Secyan.Oblivious_semijoin.join_constrained ctx ring32 ~left:sl ~right:sr)
         in
-        (secs, Comm.diff (Comm.tally ctx.Context.comm) before)
+        (secs, tally)
       in
       let clear_s, clear_t = run false in
       let shared_s, shared_t = run true in
@@ -344,13 +298,12 @@ let ablation_gc () =
         let rows = List.init n (fun i -> ([| Value.Int i |], Int64.of_int (i mod 5))) in
         let r = Relation.of_list ~name:"R" ~schema:(Schema.of_list [ "g" ]) rows in
         let sr = Secyan.Shared_relation.of_plain ctx ~owner:Party.Alice r in
-        let before = Comm.tally ctx.Context.comm in
-        let (_ : Secyan.Shared_relation.t), secs =
-          time (fun () ->
+        let (_ : Secyan.Shared_relation.t), secs, tally =
+          Trace.measure ctx (fun () ->
               Secyan.Oblivious_agg.aggregate ctx (Semiring.ring ~bits:32) sr
                 ~attrs:(Schema.of_list [ "g" ]))
         in
-        (secs, Comm.diff (Comm.tally ctx.Context.comm) before)
+        (secs, tally)
       in
       let real_s, real_t = run Context.Real in
       let sim_s, sim_t = run Context.Sim in
@@ -380,93 +333,31 @@ let ablation_ring () =
       in
       let sl = Secyan.Shared_relation.of_plain ctx ~owner:Party.Alice left in
       let sr = Secyan.Shared_relation.of_plain ctx ~owner:Party.Bob right in
-      let before = Comm.tally ctx.Context.comm in
-      let (_ : Secyan.Shared_relation.t), secs =
-        time (fun () -> Secyan.Oblivious_semijoin.join_constrained ctx semiring ~left:sl ~right:sr)
+      let (_ : Secyan.Shared_relation.t), secs, tally =
+        Trace.measure ctx (fun () ->
+            Secyan.Oblivious_semijoin.join_constrained ctx semiring ~left:sl ~right:sr)
       in
-      line "%-6d %10.3f %10.2f" bits secs
-        (Comm.total_megabytes (Comm.diff (Comm.tally ctx.Context.comm) before)))
+      line "%-6d %10.3f %10.2f" bits secs (Comm.total_megabytes tally))
     [ 16; 32; 48; 52; 60 ]
 
-(* Where does Q3's cost go? Per-operator breakdown at scale m. *)
+(* Where does Q3's cost go? The engine's own phase and operator spans of
+   a traced Q3 run at scale m. *)
 let breakdown () =
   hrule ();
-  line "Cost breakdown: TPC-H Q3 at scale m, per protocol step";
+  line "Cost breakdown: TPC-H Q3 at scale m, per protocol phase and operator (traced run)";
   hrule ();
-  let d = Secyan_tpch.Datagen.generate ~sf:(Secyan_tpch.Datagen.preset_sf "m") ~seed in
-  let q = Secyan_tpch.Queries.q3 d in
-  let ctx = Secyan_tpch.Queries.context ~seed () in
-  let semiring = q.Secyan.Query.semiring in
-  let get l = List.assoc l q.Secyan.Query.inputs in
-  let step name f =
-    let before = Comm.tally ctx.Context.comm in
-    let r, secs = time f in
-    line "  %-28s %8.3f s %10.2f MB" name secs
-      (Comm.total_megabytes (Comm.diff (Comm.tally ctx.Context.comm) before));
-    r
-  in
-  let sh l =
-    Secyan.Shared_relation.of_plain ctx ~owner:(get l).Secyan.Query.owner
-      (get l).Secyan.Query.relation
-  in
-  let customer = step "share customer annots" (fun () -> sh "customer") in
-  let orders = step "share orders annots" (fun () -> sh "orders") in
-  let lineitem = step "share lineitem annots" (fun () -> sh "lineitem") in
-  let attrs l = Schema.of_list l in
-  let agg_c =
-    step "aggregate customer" (fun () ->
-        Secyan.Oblivious_agg.aggregate ctx semiring customer ~attrs:(attrs [ "custkey" ]))
-  in
-  let orders =
-    step "fold customer -> orders" (fun () ->
-        Secyan.Oblivious_semijoin.join_constrained ctx semiring ~left:orders ~right:agg_c)
-  in
-  let agg_l =
-    step "aggregate lineitem" (fun () ->
-        Secyan.Oblivious_agg.aggregate ctx semiring lineitem ~attrs:(attrs [ "orderkey" ]))
-  in
-  let orders =
-    step "fold lineitem -> orders" (fun () ->
-        Secyan.Oblivious_semijoin.join_constrained ctx semiring ~left:orders ~right:agg_l)
-  in
-  let orders =
-    step "root projection" (fun () ->
-        Secyan.Oblivious_agg.aggregate ctx semiring orders
-          ~attrs:(attrs [ "orderkey"; "o_orderdate"; "o_shippriority" ]))
-  in
-  let (_ : Secyan.Oblivious_join.t) =
-    step "oblivious join (reveal)" (fun () -> Secyan.Oblivious_join.run ctx semiring [ orders ])
-  in
-  ()
-
-(* Queries beyond the paper's evaluation: Q1 (single relation), Q4
-   (EXISTS subquery), Q14 (ratio composition). *)
-let extra_queries () =
-  hrule ();
-  line "Beyond the paper: extra TPC-H queries (scales xs..m)";
-  hrule ();
-  line "%-6s %-6s %10s %11s %9s" "query" "scale" "secyan-s" "secyan-MB" "plain-s";
-  List.iter
-    (fun (scale, sf) ->
-      let d = Secyan_tpch.Datagen.generate ~sf ~seed in
-      let simple name make =
-        let q = make d in
-        let ctx = Secyan_tpch.Queries.context ~seed () in
-        let (_, stats), secs = time (fun () -> Secyan.Secure_yannakakis.run ctx q) in
-        let _, plain_s = time (fun () -> Secyan.Query.plaintext q) in
-        line "%-6s %-6s %10.3f %11.2f %9.4f" name scale secs
-          (Comm.total_megabytes stats.Secyan.Secure_yannakakis.tally)
-          plain_s
-      in
-      simple "Q1" Secyan_tpch.Extra_queries.q1;
-      simple "Q4" (fun d -> Secyan_tpch.Extra_queries.q4 d);
-      let ctx = Secyan_tpch.Queries.context ~seed () in
-      let r, secs = time (fun () -> Secyan_tpch.Extra_queries.run_q14 ctx d) in
-      let _, plain_s = time (fun () -> Secyan_tpch.Extra_queries.q14_plaintext d) in
-      line "%-6s %-6s %10.3f %11.2f %9.4f" "Q14" scale secs
-        (Comm.total_megabytes r.Secyan_tpch.Extra_queries.tally)
-        plain_s)
-    [ ("xs", 4e-5); ("s", 1.2e-4); ("m", 4e-4) ]
+  let d = Datagen.generate ~sf:(Datagen.preset_sf "m") ~seed in
+  let inst = (Queries.find "q3").instantiate d in
+  let ctx = Queries.context ~seed () in
+  let (_ : Queries.outcome), root = Trace.with_tracing ~name:"Q3" ctx (fun () -> inst.run ctx) in
+  Span.iter
+    (fun ~depth ~path:_ (s : Span.t) ->
+      if depth >= 1 && depth <= 2 then
+        line "  %-32s %8.3f s %10.2f MB"
+          (String.make (2 * (depth - 1)) ' ' ^ s.Span.name)
+          s.Span.dur_s
+          (Comm.total_megabytes (Span.tally s)))
+    root
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenches of the primitives *)
@@ -642,42 +533,29 @@ let gc_perf () =
     ignore (Gc_protocol.eval_to_shares_batch ctx ~items:(batch_inputs ()) ~build);
     let items = batch_inputs () in
     Option.iter Domain_pool.reset_timelines (Context.pool_opt ctx);
-    let shares, secs = time (fun () -> Gc_protocol.eval_to_shares_batch ctx ~items ~build) in
+    let shares, secs, _ =
+      Trace.measure ctx (fun () -> Gc_protocol.eval_to_shares_batch ctx ~items ~build)
+    in
     let tls = Option.fold ~none:[] ~some:Domain_pool.timelines (Context.pool_opt ctx) in
     Context.shutdown_pool ctx;
     (shares, secs, tls)
   in
-  (* [reps] rounds of one timed batch per pool size, the pool sizes
-     interleaved within each round so host drift favours none of them.
-     Per pool size: the shares, the median seconds, and the speedup over
-     one domain as the median of the per-round paired ratios (a round's
-     batches run back to back, so their ratio cancels slow drift). *)
-  let median l =
-    let a = Array.of_list l in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  let interleaved ~reps sizes =
-    let rounds =
-      List.init reps (fun _ ->
-          List.map
-            (fun domains ->
-              settle ();
-              let shares, secs, _ = timed_batch domains in
-              (domains, (shares, secs)))
-            sizes)
+  (* [reps] interleaved rounds of one timed batch per pool size. Per pool
+     size: the shares, the median seconds, and the speedup over one
+     domain as the median of the per-round paired ratios. *)
+  let batches ~reps sizes =
+    let results =
+      interleaved ~reps (List.map (fun domains -> (domains, fun () -> timed_batch domains)) sizes)
     in
-    let secs_of round domains = snd (List.assoc domains round) in
+    let secs domains = List.map (fun (_, s, _) -> s) (List.assoc domains results) in
     List.map
       (fun domains ->
-        ( domains,
-          ( fst (List.assoc domains (List.hd rounds)),
-            median (List.map (fun r -> secs_of r domains) rounds),
-            median (List.map (fun r -> secs_of r 1 /. secs_of r domains) rounds) ) ))
+        let shares, _, _ = List.hd (List.assoc domains results) in
+        (domains, (shares, median (secs domains), median (List.map2 ( /. ) (secs 1) (secs domains)))))
       sizes
   in
   let pool_sizes = List.sort_uniq compare [ 1; 2; max 1 !requested_domains ] in
-  let batch_results = interleaved ~reps:15 pool_sizes in
+  let batch_results = batches ~reps:15 pool_sizes in
   let baseline, _, _ = List.assoc 1 batch_results in
   List.iter
     (fun (domains, (shares, secs, speedup)) ->
@@ -731,28 +609,27 @@ let gc_perf () =
     timeline_sizes;
   (* 5. metrics overhead on a full protocol run: the registry must stay
      within single-digit percent of a metrics-off run (DESIGN.md §13's
-     budget; the acceptance bar is <= 3%). Best-of-reps on both sides to
-     suppress scheduler noise. *)
-  let sf = Secyan_tpch.Datagen.preset_sf "xs" in
-  let d = Secyan_tpch.Datagen.generate ~sf ~seed in
-  let run_secs () =
-    settle ();
-    let ctx = Secyan_tpch.Queries.context ~seed () in
-    let q = Secyan_tpch.Queries.q3 d in
-    let _, secs = time (fun () -> Secyan.Secure_yannakakis.run ctx q) in
+     budget; the acceptance bar is <= 3%). Metrics-off and metrics-on runs
+     alternate within each rep; the overhead is the median paired ratio,
+     with its spread over the reps. *)
+  let q3 = (Queries.find "q3").instantiate (Datagen.generate ~sf:(Datagen.preset_sf "xs") ~seed) in
+  let run_secs enabled () =
+    Secyan_metrics.set_enabled enabled;
+    let ctx = Queries.context ~seed () in
+    let o = q3.run ctx in
     Context.shutdown_pool ctx;
-    secs
+    o.seconds
   in
   let reps = 5 in
-  let best f = List.fold_left (fun acc _ -> Float.min acc (f ())) infinity (List.init reps Fun.id) in
-  Secyan_metrics.set_enabled false;
-  let off_secs = best run_secs in
-  Secyan_metrics.set_enabled true;
-  let on_secs = best run_secs in
+  let results = interleaved ~reps [ (false, run_secs false); (true, run_secs true) ] in
   Secyan_metrics.set_enabled was_enabled;
-  let overhead_pct = 100. *. (on_secs -. off_secs) /. off_secs in
-  line "%-24s off %.3f ms  on %.3f ms  overhead %.2f%%" "metrics-overhead-q3-xs"
-    (off_secs *. 1e3) (on_secs *. 1e3) overhead_pct;
+  let off = List.assoc false results and on = List.assoc true results in
+  let pcts = List.map2 (fun off on -> 100. *. (on -. off) /. off) off on in
+  let off_secs = median off and on_secs = median on and overhead_pct = median pcts in
+  let min_pct = List.fold_left Float.min infinity pcts in
+  let max_pct = List.fold_left Float.max neg_infinity pcts in
+  line "%-24s off %.3f ms  on %.3f ms  overhead %.2f%% (min %.2f%%, max %.2f%%)"
+    "metrics-overhead-q3-xs" (off_secs *. 1e3) (on_secs *. 1e3) overhead_pct min_pct max_pct;
   bench6_records :=
     Json.Obj
       [
@@ -760,6 +637,7 @@ let gc_perf () =
         ("scale", Json.Str "xs"); ("reps", Json.Int reps);
         ("off_seconds", Json.Float off_secs); ("on_seconds", Json.Float on_secs);
         ("overhead_pct", Json.Float overhead_pct);
+        ("min_overhead_pct", Json.Float min_pct); ("max_overhead_pct", Json.Float max_pct);
       ]
     :: !bench6_records;
   (* 6. allocation-free kernels (DESIGN.md §14): words allocated per AND
@@ -832,9 +710,7 @@ let gc_perf () =
         (fun (s : Secyan_metrics.sample) -> s.Secyan_metrics.name = name)
         (Secyan_metrics.snapshot ())
     with
-    | Some { Secyan_metrics.value = Secyan_metrics.Histogram h; _ }
-      when h.Secyan_metrics.count > 0 ->
-        h.Secyan_metrics.sum /. float_of_int h.Secyan_metrics.count
+    | Some { Secyan_metrics.value = Secyan_metrics.Histogram h; _ } -> Metrics.mean h
     | _ -> 0.
   in
   let item_minor = hist_mean "secyan_gc_item_minor_words" in
@@ -858,7 +734,7 @@ let gc_perf () =
      actually run in parallel *)
   Secyan_metrics.set_enabled false;
   let sweep_sizes = List.sort_uniq compare [ 1; 2; 4; 8; max 1 !requested_domains ] in
-  let sweep_results = interleaved ~reps:15 sweep_sizes in
+  let sweep_results = batches ~reps:15 sweep_sizes in
   let sweep_base, _, _ = List.assoc 1 sweep_results in
   let sweep_results =
     List.map
@@ -925,36 +801,27 @@ let checkpoint_overhead () =
   hrule ();
   let sf = 4e-5 (* xs *) in
   let reps = 3 in
-  let measure make =
-    let d = Secyan_tpch.Datagen.generate ~sf ~seed in
-    let q = make d in
+  let measure name =
+    let inst = (Queries.find name).instantiate (Datagen.generate ~sf ~seed) in
+    let q = inst.query in
     (* one timed run; [with_sink] decides whether snapshots are written *)
-    let run_once ~with_sink =
-      settle ();
+    let run_once with_sink () =
       let dir = if with_sink then Some (Filename.temp_dir "secyan-bench-ck" "") else None in
       let checkpoint = Option.map (fun dir -> Checkpoint.sink ~dir ()) dir in
-      let ctx = Secyan_tpch.Queries.context ?checkpoint ~seed () in
-      let (_, stats), secs = time (fun () -> Secyan.Secure_yannakakis.run ctx q) in
+      let o = inst.run (Queries.context ?checkpoint ~seed ()) in
       let written, bytes =
         match checkpoint with
         | Some s -> (s.Checkpoint.written, s.Checkpoint.bytes_written)
         | None -> (0, 0)
       in
       Option.iter rm_rf_flat dir;
-      (stats.Secyan.Secure_yannakakis.tally, secs, written, bytes)
+      (o.tally, o.seconds, written, bytes)
     in
-    (* min over reps: the delta of interest is systematic, not noise *)
-    let best with_sink =
-      List.init reps (fun _ -> run_once ~with_sink)
-      |> List.fold_left (fun acc ((_, s, _, _) as r) ->
-             match acc with
-             | Some ((_, s0, _, _) as r0) -> Some (if s < s0 then r else r0)
-             | None -> Some r)
-           None
-      |> Option.get
-    in
-    let plain_tally, plain_s, _, _ = best false in
-    let ck_tally, ck_s, written, bytes = best true in
+    let results = interleaved ~reps [ (false, run_once false); (true, run_once true) ] in
+    let secs runs = median (List.map (fun (_, s, _, _) -> s) runs) in
+    let plain_tally, _, _, _ = List.hd (List.assoc false results) in
+    let ck_tally, _, written, bytes = List.hd (List.assoc true results) in
+    let plain_s = secs (List.assoc false results) and ck_s = secs (List.assoc true results) in
     (* checkpointing sits below protocol accounting: tallies must match *)
     let identical = Comm.equal plain_tally ck_tally in
     let overhead_s = ck_s -. plain_s in
@@ -980,7 +847,7 @@ let checkpoint_overhead () =
         ]
       :: !bench4_records
   in
-  List.iter measure [ Secyan_tpch.Queries.q3; Secyan_tpch.Queries.q10 ]
+  List.iter measure [ "q3"; "q10" ]
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz campaign throughput: instances per second through the
@@ -1103,24 +970,18 @@ let sort_perf () =
     (Context.counter_totals ctx).(Trace_sink.counter_index Trace_sink.And_gates)
   in
   let run ~domains ~k n =
-    settle ();
     let ctx = Context.create ~bits:32 ~domains ~seed () in
     (* The pool spawns its workers on the first parallel batch: spawn them
        here, untimed, so the timer sees only the sort. *)
     if domains > 1 then Domain_pool.run (Context.pool ctx) ~n:domains ~f:ignore;
     let rows = make_rows ctx n in
-    let before_tally = Comm.tally ctx.Context.comm in
     let before_ands = and_gates ctx in
-    let revealed, secs = time (fun () -> Oblivious_sort.top_k_reveal ctx ~k ~to_:Party.Alice rows) in
-    let after_tally = Comm.tally ctx.Context.comm in
-    let ands = and_gates ctx - before_ands in
-    let bits =
-      after_tally.Comm.alice_to_bob_bits - before_tally.Comm.alice_to_bob_bits
-      + after_tally.Comm.bob_to_alice_bits - before_tally.Comm.bob_to_alice_bits
+    let revealed, secs, tally =
+      Trace.measure ctx (fun () -> Oblivious_sort.top_k_reveal ctx ~k ~to_:Party.Alice rows)
     in
-    let rounds = after_tally.Comm.rounds - before_tally.Comm.rounds in
+    let ands = and_gates ctx - before_ands in
     Context.shutdown_pool ctx;
-    (revealed, ands, bits, rounds, secs)
+    (revealed, ands, Comm.total_bits tally, tally.Comm.rounds, secs)
   in
   line "%-6s %7s %12s %12s %10s %7s %9s" "n" "padded" "comparators" "AND-gates"
     "comm-MB" "rounds" "ms";
@@ -1133,6 +994,7 @@ let sort_perf () =
          regression gate sees any drift *)
       let closed_form_ok = comparators = Sorting_network.expected_count n in
       let k = min n 10 in
+      settle ();
       let revealed, ands, bits, rounds, secs = run ~domains:1 ~k n in
       (* sanity: the revealed top-k indices really are key-sorted *)
       let sorted_ok = Array.for_all (fun (invalid, _) -> not invalid) revealed in
@@ -1160,17 +1022,14 @@ let sort_perf () =
   (* domains sweep at fixed n: identical reveal, wall-clock speedup *)
   let sweep_n = 128 in
   let sweep_sizes = List.sort_uniq compare [ 1; 2; 4; max 1 !requested_domains ] in
-  let base = ref None in
+  let sweep =
+    interleaved ~reps:1
+      (List.map (fun domains -> (domains, fun () -> run ~domains ~k:10 sweep_n)) sweep_sizes)
+  in
+  let base_revealed, _, _, _, base_secs = List.hd (List.assoc 1 sweep) in
   List.iter
-    (fun domains ->
-      let revealed, ands, bits, rounds, secs = run ~domains ~k:10 sweep_n in
-      let base_revealed, base_secs =
-        match !base with
-        | None ->
-            base := Some (revealed, secs);
-            (revealed, secs)
-        | Some b -> b
-      in
+    (fun (domains, results) ->
+      let revealed, ands, bits, rounds, secs = List.hd results in
       let identical = revealed = base_revealed in
       let speedup = base_secs /. secs in
       line "%-24s %12.3f ms  (speedup %.2fx, identical %b)"
@@ -1189,20 +1048,21 @@ let sort_perf () =
             ("identical_to_sequential", Json.Bool identical);
           ]
         :: !bench10_records)
-    sweep_sizes
+    sweep
 
 (* ------------------------------------------------------------------ *)
 
 let all_sections =
-  [
-    ("figure2", figure2); ("figure3", figure3); ("figure4", figure4);
-    ("figure5", figure5); ("figure6", figure6);
-    ("ablation-psi", ablation_psi); ("ablation-gc", ablation_gc);
-    ("ablation-ring", ablation_ring); ("breakdown", breakdown);
-    ("extra-queries", extra_queries); ("micro", micro); ("gc-perf", gc_perf);
-    ("checkpoint-overhead", checkpoint_overhead); ("fuzz-perf", fuzz_perf);
-    ("sort-perf", sort_perf);
-  ]
+  List.fold_left
+    (fun acc (section, _, _, _) ->
+      if List.mem_assoc section acc then acc else acc @ [ (section, figures section) ])
+    [] series
+  @ [
+      ("ablation-psi", ablation_psi); ("ablation-gc", ablation_gc);
+      ("ablation-ring", ablation_ring); ("breakdown", breakdown); ("micro", micro);
+      ("gc-perf", gc_perf); ("checkpoint-overhead", checkpoint_overhead);
+      ("fuzz-perf", fuzz_perf); ("sort-perf", sort_perf);
+    ]
 
 (* [bench diff BASE.json NEW.json [--tolerance T] [--strict]]: the BENCH
    regression gate. Exit 1 on regression, 2 on usage/parse errors. *)
@@ -1251,14 +1111,20 @@ let () =
   | _ :: "diff" :: rest -> diff_main rest
   | _ -> ());
   (* consume [--domains N] (or --domains=N) before section selection *)
+  let set_domains n =
+    match int_of_string_opt n with
+    | Some d when d >= 1 -> requested_domains := d
+    | _ ->
+        prerr_endline "usage: bench [--domains N] [SECTION ...] (N a positive integer)";
+        exit 2
+  in
   let rec strip_domains = function
     | [] -> []
     | "--domains" :: n :: rest ->
-        requested_domains := int_of_string n;
+        set_domains n;
         strip_domains rest
     | arg :: rest when String.length arg > 10 && String.sub arg 0 10 = "--domains=" ->
-        requested_domains :=
-          int_of_string (String.sub arg 10 (String.length arg - 10));
+        set_domains (String.sub arg 10 (String.length arg - 10));
         strip_domains rest
     | arg :: rest -> arg :: strip_domains rest
   in

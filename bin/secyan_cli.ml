@@ -3,6 +3,7 @@
 
      secyan_cli run --query q3 --scale m
      secyan_cli run --query q9 --sf 0.0004 --backend real --verify
+     secyan_cli run --query q14 --scale xs --verify
      secyan_cli plan --query q18 --scale xs
      secyan_cli estimate --query q3 --scale l
      secyan_cli generate --scale s *)
@@ -10,6 +11,7 @@
 open Cmdliner
 open Secyan_crypto
 open Secyan_relational
+module Queries = Secyan_tpch.Queries
 
 (* --- shared argument definitions ----------------------------------- *)
 
@@ -26,10 +28,10 @@ let seed_arg =
   Arg.(value & opt int64 1L & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let query_arg =
-  let doc = "Query: q3, q10, q18, q8 or q9." in
-  Arg.(required & opt (some (enum
-    [ ("q3", `Q3); ("q10", `Q10); ("q18", `Q18); ("q8", `Q8); ("q9", `Q9) ]))
-    None & info [ "q"; "query" ] ~docv:"QUERY" ~doc)
+  let names = List.map (fun (e : Queries.entry) -> e.name) Queries.catalogue in
+  let doc = "TPC-H query: " ^ String.concat ", " names ^ "." in
+  let entries = List.map (fun (e : Queries.entry) -> (e.name, e)) Queries.catalogue in
+  Arg.(required & opt (some (enum entries)) None & info [ "q"; "query" ] ~docv:"QUERY" ~doc)
 
 let backend_arg =
   let doc = "Garbled-circuit backend: sim (default; cost-exact simulation) or real \
@@ -170,11 +172,17 @@ let hang_timeout_arg =
   Arg.(value & opt float 10. & info [ "hang-timeout" ] ~docv:"SECONDS" ~doc)
 
 let checkpoint_dir_arg =
+  let single =
+    List.filter_map
+      (fun (e : Queries.entry) -> if e.executions = 1 then Some e.name else None)
+      Queries.catalogue
+  in
   let doc =
     "Write a durable protocol-state checkpoint into $(docv) at every phase/operator \
      boundary. A run killed mid-protocol can then be restarted with $(b,--resume); the \
      resumed run's results, communication tallies, and round counts are bit-identical to \
-     an uninterrupted run. Only single-protocol queries (q3, q10, q18) are checkpointable."
+     an uninterrupted run. Only single-protocol queries (" ^ String.concat ", " single
+    ^ ") are checkpointable."
   in
   Arg.(value & opt (some string) None & info [ "checkpoint-dir" ] ~docv:"DIR" ~doc)
 
@@ -292,38 +300,54 @@ let resolve_sf scale sf =
 
 (* --- run ----------------------------------------------------------- *)
 
-let print_rows (r : Relation.t) =
-  let rows = Relation.nonzero r in
-  Fmt.pr "%d result rows:@." (List.length rows);
-  List.iteri
-    (fun i (t, a) ->
-      if i < 25 then Fmt.pr "  %a -> %Ld@." Tuple.pp t a
-      else if i = 25 then Fmt.pr "  ... (%d more)@." (List.length rows - 25))
-    rows
-
 let print_cost (tally : Comm.tally) seconds =
   Fmt.pr "@.cost: %.3f s, %.2f MB (%d bits A->B, %d bits B->A), %d rounds@." seconds
     (Comm.total_megabytes tally) tally.Comm.alice_to_bob_bits tally.Comm.bob_to_alice_bits
     tally.Comm.rounds
 
-let content output (r : Relation.t) =
-  Relation.nonzero r
-  |> List.filter (fun (t, _) -> not (Tuple.is_dummy t))
-  |> List.map (fun (t, a) -> (Tuple.repr (Tuple.project r.Relation.schema output t), a))
-  |> List.sort compare
+(* The one print-and-verify path of [run] and [sql]: the answer (decoded
+   through [q]'s semiring; rows of an ORDER BY query are in query order),
+   the cost, and with [verify] whether the answer equals the plaintext
+   oracle's. Returns the exit code. *)
+let report ~verify (q : Secyan.Query.t) (o : Queries.outcome) plaintext =
+  let ordered = Secyan.Query.has_order q in
+  if ordered then
+    Fmt.pr "top-k phase: rows below are in query order (ORDER BY%s)@."
+      (match q.Secyan.Query.limit with Some k -> Printf.sprintf ", LIMIT %d" k | None -> "");
+  let rows =
+    List.filter_map
+      (fun (t, a) -> Option.map (fun v -> (t, v)) (Semiring.to_value q.Secyan.Query.semiring a))
+      o.answer
+  in
+  Fmt.pr "%d result rows:@." (List.length rows);
+  List.iteri
+    (fun i (t, v) ->
+      if i < 25 then Fmt.pr "  @[<h>%a@] -> %Ld@." Tuple.pp t v
+      else if i = 25 then Fmt.pr "  ... (%d more)@." (List.length rows - 25))
+    rows;
+  print_cost o.tally o.seconds;
+  if not verify then 0
+  else begin
+    let ok = plaintext () = o.answer in
+    Fmt.pr "verify vs plaintext%s: %s@."
+      (if ordered then " (ordered)" else "")
+      (if ok then "OK" else "MISMATCH");
+    if ok then 0 else 1
+  end
 
-(* Validate the checkpoint flags and build the sink. Compositions (q8,
-   q9) run several protocol executions over one context, so a single
-   checkpoint stream cannot name their restart point — refuse up front
-   instead of resuming wrongly. *)
-let make_checkpoint query checkpoint_dir resume =
-  let checkpointable = match query with `Q3 | `Q10 | `Q18 -> true | `Q8 | `Q9 -> false in
+(* Validate the checkpoint flags and build the sink. A composition runs
+   several protocol executions over one context, so a single checkpoint
+   stream cannot name its restart point — refuse up front instead of
+   resuming wrongly. *)
+let make_checkpoint (e : Queries.entry) checkpoint_dir resume =
   match (checkpoint_dir, resume) with
   | None, true -> Error "--resume requires --checkpoint-dir"
-  | Some _, _ when not checkpointable ->
+  | Some _, _ when e.executions <> 1 ->
       Error
-        "--checkpoint-dir supports the single-protocol queries (q3, q10, q18); q8 and q9 \
-         are compositions of several protocol runs"
+        (Printf.sprintf
+           "--checkpoint-dir supports the single-protocol queries; %s is a composition of \
+            %d protocol runs"
+           e.name e.executions)
   | dir, _ -> Ok (Option.map (fun dir -> Checkpoint.sink ~dir ()) dir)
 
 let run_cmd query scale sf seed backend domains transport chaos chaos_seed malicious
@@ -370,17 +394,17 @@ let run_cmd query scale sf seed backend domains transport chaos chaos_seed malic
     Secyan_tpch.Queries.context ~gc_backend:backend ~domains ?transport:tr ?checkpoint:ck
       ~cancel ?supervisor ~seed ()
   in
-  if metrics <> None then Secyan_obs.Metrics.set_enabled true;
+  if metrics <> None then Secyan_metrics.set_enabled true;
   (* Attach the per-phase GC sampler and the live progress reporter
      around one protocol execution. *)
-  let observed ?total f =
+  let observed ~total f =
     let sampler =
       if metrics <> None then Some (Secyan_obs.Profile.attach_gc_sampler ctx) else None
     in
     let heartbeat = Option.map open_out progress_out in
     let reporter =
       if progress || heartbeat <> None then
-        Some (Secyan_obs.Progress.attach ?total ~render:progress ?heartbeat ctx)
+        Some (Secyan_obs.Progress.attach ~total ~render:progress ?heartbeat ctx)
       else None
     in
     Fun.protect
@@ -414,39 +438,6 @@ let run_cmd query scale sf seed backend domains transport chaos chaos_seed malic
             close_out oc;
             Fmt.pr "metrics written to %s@." file)
   in
-  let simple q =
-    Fmt.pr "query %s, join tree %a (root %s)@." q.Secyan.Query.name Join_tree.pp
-      q.Secyan.Query.tree (Join_tree.root q.Secyan.Query.tree);
-    let total = Secyan.Secure_yannakakis.estimate_and_gates ctx q in
-    let revealed, stats =
-      traced ~name:q.Secyan.Query.name trace trace_out ctx (fun () ->
-          observed ~total (fun () -> Secyan.Secure_yannakakis.run ~resume ctx q))
-    in
-    if Secyan.Query.has_order q then
-      Fmt.pr "top-k phase: rows below are in query order (ORDER BY%s)@."
-        (match q.Secyan.Query.limit with
-        | Some k -> Printf.sprintf ", LIMIT %d" k
-        | None -> "");
-    print_rows revealed;
-    print_cost stats.Secyan.Secure_yannakakis.tally stats.Secyan.Secure_yannakakis.seconds;
-    if verify then begin
-      let expected = Secyan.Query.plaintext q in
-      (* ordered queries compare row-for-row in order against the
-         plaintext oracle; unordered ones as sorted multisets *)
-      let ok =
-        if Secyan.Query.has_order q then
-          List.map
-            (fun (t, a) -> (Tuple.repr t, a))
-            (Secyan.Query.ordered_rows q expected)
-          = List.map (fun (t, a) -> (Tuple.repr t, a)) (Relation.nonzero revealed)
-        else content q.Secyan.Query.output expected = content q.Secyan.Query.output revealed
-      in
-      Fmt.pr "verify vs plaintext%s: %s@."
-        (if Secyan.Query.has_order q then " (ordered)" else "")
-        (if ok then "OK" else "MISMATCH");
-      if not ok then exit 1
-    end
-  in
   let finish code =
     (match fault_spec with
     | None -> ()
@@ -469,39 +460,21 @@ let run_cmd query scale sf seed backend domains transport chaos chaos_seed malic
     | None -> ()
   in
   (try
-  (match query with
-  | `Q3 -> simple (Secyan_tpch.Queries.q3 d)
-  | `Q10 -> simple (Secyan_tpch.Queries.q10 d)
-  | `Q18 -> simple (Secyan_tpch.Queries.q18 d)
-  | `Q8 ->
-      let r =
-        traced ~name:"q8" trace trace_out ctx (fun () ->
-            observed (fun () -> Secyan_tpch.Queries.run_q8 ctx d))
-      in
-      Fmt.pr "market share per year (x1000):@.";
-      List.iter (fun (y, v) -> Fmt.pr "  %d -> %Ld@." y v) r.Secyan_tpch.Queries.shares_per_year;
-      print_cost r.Secyan_tpch.Queries.tally r.Secyan_tpch.Queries.seconds;
-      if verify then begin
-        let ok = Secyan_tpch.Queries.q8_plaintext d = r.Secyan_tpch.Queries.shares_per_year in
-        Fmt.pr "verify vs plaintext: %s@." (if ok then "OK" else "MISMATCH");
-        if not ok then exit 1
-      end
-  | `Q9 ->
-      let r =
-        traced ~name:"q9" trace trace_out ctx (fun () ->
-            observed (fun () -> Secyan_tpch.Queries.run_q9 ctx d))
-      in
-      let rows = List.filter (fun (_, _, a) -> a <> 0) r.Secyan_tpch.Queries.rows in
-      Fmt.pr "profit per (nation, year), cents:@.";
-      List.iter (fun (n, y, a) -> Fmt.pr "  nation %2d, %d -> %d@." n y a) rows;
-      print_cost r.Secyan_tpch.Queries.tally r.Secyan_tpch.Queries.seconds;
-      if verify then begin
-        let expected = List.sort compare (Secyan_tpch.Queries.q9_plaintext d) in
-        let ok = expected = List.sort compare rows in
-        Fmt.pr "verify vs plaintext: %s@." (if ok then "OK" else "MISMATCH");
-        if not ok then exit 1
-      end);
-  finish 0
+    let inst = query.instantiate d in
+    let q = inst.query in
+    (* the span root: the query itself for a single execution, the
+       catalogue name for a composition *)
+    let name = if query.executions = 1 then q.Secyan.Query.name else query.name in
+    Fmt.pr "query %s, join tree %a (root %s)%s@." name Join_tree.pp q.Secyan.Query.tree
+      (Join_tree.root q.Secyan.Query.tree)
+      (if query.executions = 1 then ""
+       else Printf.sprintf ", %d protocol executions" query.executions);
+    let total = query.executions * Secyan.Secure_yannakakis.estimate_and_gates ctx q in
+    let outcome =
+      traced ~name trace trace_out ctx (fun () ->
+          observed ~total (fun () -> inst.run ~resume ctx))
+    in
+    finish (report ~verify q outcome inst.plaintext)
   with
   | Secyan_net.Resilient.Transport_error { kind; attempts; elapsed; detail } ->
     (* The protocol surfaced a typed, unrecoverable channel fault instead
@@ -557,17 +530,9 @@ let run_cmd query scale sf seed backend domains transport chaos chaos_seed malic
 
 (* --- plan ---------------------------------------------------------- *)
 
-let plan_cmd query scale sf seed =
+let plan_cmd (query : Queries.entry) scale sf seed =
   let sf = resolve_sf scale sf in
-  let d = Secyan_tpch.Datagen.generate ~sf ~seed in
-  let q =
-    match query with
-    | `Q3 -> Secyan_tpch.Queries.q3 d
-    | `Q10 -> Secyan_tpch.Queries.q10 d
-    | `Q18 -> Secyan_tpch.Queries.q18 d
-    | `Q8 -> Secyan_tpch.Queries.q8_inner d ~numerator:true
-    | `Q9 -> Secyan_tpch.Queries.q9_inner d ~nationkey:2 ~volume:true
-  in
+  let q = (query.instantiate (Secyan_tpch.Datagen.generate ~sf ~seed)).query in
   Fmt.pr "query %s@." q.Secyan.Query.name;
   Fmt.pr "join tree: %a (root %s)@." Join_tree.pp q.Secyan.Query.tree
     (Join_tree.root q.Secyan.Query.tree);
@@ -603,31 +568,20 @@ let plan_cmd query scale sf seed =
 
 (* --- estimate ------------------------------------------------------ *)
 
-let estimate_cmd query scale sf seed =
+let estimate_cmd (query : Queries.entry) scale sf seed =
   let sf = resolve_sf scale sf in
-  let d = Secyan_tpch.Datagen.generate ~sf ~seed in
-  let qs =
-    match query with
-    | `Q3 -> [ (Secyan_tpch.Queries.q3 d, 1) ]
-    | `Q10 -> [ (Secyan_tpch.Queries.q10 d, 1) ]
-    | `Q18 -> [ (Secyan_tpch.Queries.q18 d, 1) ]
-    | `Q8 -> [ (Secyan_tpch.Queries.q8_inner d ~numerator:true, 2) ]
-    | `Q9 -> [ (Secyan_tpch.Queries.q9_inner d ~nationkey:2 ~volume:true, 50) ]
-  in
-  List.iter
-    (fun (q, runs) ->
-      let e = Secyan_smcql.Cartesian_gc.estimate ~kappa:128 q in
-      let f = float_of_int runs in
-      Fmt.pr "garbled-circuit baseline for %s (x%d runs):@." q.Secyan.Query.name runs;
-      Fmt.pr "  Cartesian product rows: %.3g@." (e.Secyan_smcql.Cartesian_gc.product_rows *. f);
-      Fmt.pr "  AND gates per row:      %d@." e.Secyan_smcql.Cartesian_gc.and_gates_per_row;
-      Fmt.pr "  total AND gates:        %.3g@." (e.Secyan_smcql.Cartesian_gc.total_and_gates *. f);
-      Fmt.pr "  communication:          %.3g MB@."
-        (e.Secyan_smcql.Cartesian_gc.comm_bytes *. f /. (1024. *. 1024.));
-      Fmt.pr "  estimated time:         %.3g s (%.1f years)@."
-        (e.Secyan_smcql.Cartesian_gc.seconds *. f)
-        (e.Secyan_smcql.Cartesian_gc.seconds *. f /. (365.25 *. 86400.)))
-    qs;
+  let q = (query.instantiate (Secyan_tpch.Datagen.generate ~sf ~seed)).query in
+  let e = Secyan_smcql.Cartesian_gc.estimate ~kappa:128 q in
+  let f = float_of_int query.executions in
+  Fmt.pr "garbled-circuit baseline for %s (x%d runs):@." q.Secyan.Query.name query.executions;
+  Fmt.pr "  Cartesian product rows: %.3g@." (e.Secyan_smcql.Cartesian_gc.product_rows *. f);
+  Fmt.pr "  AND gates per row:      %d@." e.Secyan_smcql.Cartesian_gc.and_gates_per_row;
+  Fmt.pr "  total AND gates:        %.3g@." (e.Secyan_smcql.Cartesian_gc.total_and_gates *. f);
+  Fmt.pr "  communication:          %.3g MB@."
+    (e.Secyan_smcql.Cartesian_gc.comm_bytes *. f /. (1024. *. 1024.));
+  Fmt.pr "  estimated time:         %.3g s (%.1f years)@."
+    (e.Secyan_smcql.Cartesian_gc.seconds *. f)
+    (e.Secyan_smcql.Cartesian_gc.seconds *. f /. (365.25 *. 86400.));
   0
 
 (* --- generate ------------------------------------------------------ *)
@@ -685,42 +639,11 @@ let sql_cmd statement scale sf seed backend domains transport chaos chaos_seed m
   | q ->
       Fmt.pr "join tree: %a (root %s)@." Join_tree.pp q.Secyan.Query.tree
         (Join_tree.root q.Secyan.Query.tree);
-      if Secyan.Query.has_order q then
-        Fmt.pr "top-k phase: rows below are in query order (ORDER BY%s)@."
-          (match q.Secyan.Query.limit with
-          | Some k -> Printf.sprintf ", LIMIT %d" k
-          | None -> "");
       let ctx = Context.create ~bits:(Semiring.bits q.Secyan.Query.semiring)
           ~gc_backend:backend ~domains ?transport:tr ~seed () in
-      let revealed, stats = Secyan.Secure_yannakakis.run ctx q in
-      (* [Relation.nonzero] preserves physical order, which for ordered
-         queries is the query order produced by the oblivious sort *)
-      List.iter
-        (fun (t, a) ->
-          match Semiring.to_value q.Secyan.Query.semiring a with
-          | Some value -> Fmt.pr "  %a -> %Ld@." Tuple.pp t value
-          | None -> ())
-        (Relation.nonzero revealed);
-      print_cost stats.Secyan.Secure_yannakakis.tally stats.Secyan.Secure_yannakakis.seconds;
       let code =
-        if not verify then 0
-        else begin
-          let expected = Secyan.Query.plaintext q in
-          let ok =
-            if Secyan.Query.has_order q then
-              List.map
-                (fun (t, a) -> (Tuple.repr t, a))
-                (Secyan.Query.ordered_rows q expected)
-              = List.map (fun (t, a) -> (Tuple.repr t, a)) (Relation.nonzero revealed)
-            else
-              content q.Secyan.Query.output expected
-              = content q.Secyan.Query.output revealed
-          in
-          Fmt.pr "verify vs plaintext%s: %s@."
-            (if Secyan.Query.has_order q then " (ordered)" else "")
-            (if ok then "OK" else "MISMATCH");
-          if ok then 0 else 1
-        end
+        report ~verify q (Queries.run_query ctx q) (fun () ->
+            Secyan.Query.oracle_answer q (Secyan.Query.plaintext q))
       in
       print_transport_stats tr;
       Context.close_transport ctx;

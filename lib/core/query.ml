@@ -127,20 +127,40 @@ let compare_rows t =
     in
     go t.order_by
 
+(* The nonzero non-dummy rows of [rel], projected onto the canonical
+   output schema. *)
+let output_rows t (rel : Relation.t) =
+  List.filter_map
+    (fun (tu, a) ->
+      if Tuple.is_dummy tu then None
+      else Some (Tuple.project rel.Relation.schema t.output tu, a))
+    (Relation.nonzero rel)
+
 (** Apply the query's ORDER BY / LIMIT to a result relation in the
     clear: the nonzero non-dummy rows, projected onto the canonical
     output schema, in the query's total order, truncated to the limit.
     The reference semantics the secure order phase must reproduce. *)
 let ordered_rows t (rel : Relation.t) =
-  let out = Schema.canonical t.output in
-  let rows =
-    List.filter_map
-      (fun (tu, a) ->
-        if Tuple.is_dummy tu then None
-        else Some (Tuple.project rel.Relation.schema out tu, a))
-      (Relation.nonzero rel)
-  in
-  let rows = List.sort (compare_rows t) rows in
+  let rows = List.sort (compare_rows t) (output_rows t rel) in
   match t.limit with
   | None -> rows
   | Some k -> List.filteri (fun i _ -> i < k) rows
+
+(* --- canonical answers ----------------------------------------------- *)
+
+type answer = (Tuple.t * int64) list
+
+let content t rel = List.sort compare (output_rows t rel)
+
+(* The secure order phase reveals exactly the ordered, truncated rows, so
+   their physical order is the claim under test: they are taken as
+   revealed, not sorted. *)
+let revealed_answer t (rel : Relation.t) =
+  if has_order t then Relation.nonzero rel else content t rel
+
+let oracle_answer t rel = if has_order t then ordered_rows t rel else content t rel
+
+let pp_answer ppf (rows : answer) =
+  Fmt.pf ppf "[%a]"
+    Fmt.(list ~sep:semi (fun ppf (tu, a) -> Fmt.pf ppf "%a=%Ld" Tuple.pp tu a))
+    rows

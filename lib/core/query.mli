@@ -85,3 +85,29 @@ val compare_rows : t -> Tuple.t * int64 -> Tuple.t * int64 -> int
     schema, sorted by {!compare_rows}, truncated to the limit. The
     reference semantics the secure order phase reproduces bit for bit. *)
 val ordered_rows : t -> Relation.t -> (Tuple.t * int64) list
+
+(** {2 Canonical answers}
+
+    The one definition of "secure = plaintext": every executor's result
+    becomes an {!answer}, and two executors agree when their answers are
+    equal (structural equality). Annotations stay in encoded form. *)
+
+(** Result rows projected onto the canonical output schema. *)
+type answer = (Tuple.t * int64) list
+
+(** The nonzero non-dummy rows of a result relation, projected onto the
+    canonical output schema and sorted: the answer with ORDER BY / LIMIT
+    ignored. *)
+val content : t -> Relation.t -> answer
+
+(** The answer of a relation revealed by the secure protocol: for an
+    ORDER BY / LIMIT query its nonzero rows as revealed, i.e. in query
+    order and truncated to the limit; otherwise {!content}. *)
+val revealed_answer : t -> Relation.t -> answer
+
+(** The answer of a full (unordered, untruncated) result relation, as the
+    plaintext or naive oracles compute it: {!ordered_rows} for an ORDER
+    BY / LIMIT query, otherwise {!content}. *)
+val oracle_answer : t -> Relation.t -> answer
+
+val pp_answer : Format.formatter -> answer -> unit

@@ -13,31 +13,6 @@ open Secyan_relational
 
 type outcome = { ok : bool; executors : string list; details : string list }
 
-(* Canonical revealed content: non-dummy, nonzero-annotated rows
-   projected onto the output schema, sorted. Annotations compare in
-   encoded form — every executor encodes the same way. *)
-let content (q : Secyan.Query.t) (r : Relation.t) =
-  Relation.nonzero r
-  |> List.filter (fun (t, _) -> not (Tuple.is_dummy t))
-  |> List.map (fun (t, a) ->
-         (Tuple.repr (Tuple.project r.Relation.schema q.Secyan.Query.output t), a))
-  |> List.sort compare
-
-(* Ordered instances compare row-for-row IN ORDER, truncated to the
-   limit: executors that materialize the full group list (naive,
-   plaintext) go through the [Query.ordered_rows] oracle; the secure
-   executors' revealed relations are already in query order, so their
-   physical order is the claim under test. *)
-let ordered_oracle (q : Secyan.Query.t) (r : Relation.t) =
-  Secyan.Query.ordered_rows q r |> List.map (fun (t, a) -> (Tuple.repr t, a))
-
-let ordered_revealed (r : Relation.t) =
-  Relation.nonzero r |> List.map (fun (t, a) -> (Tuple.repr t, a))
-
-let pp_rows rows =
-  String.concat "; "
-    (List.map (fun (t, a) -> Printf.sprintf "%s=%Ld" (if t = "" then "()" else t) a) rows)
-
 let ctx_seed (t : Gen.instance) =
   Int64.add t.Gen.seed (Int64.mul (Int64.of_int (t.Gen.case + 1)) 0x9E37_79B9L)
 
@@ -70,45 +45,39 @@ let check (t : Gen.instance) =
         details := Printf.sprintf "%s raised: %s" name (Printexc.to_string e) :: !details;
         None
   in
-  let ordered = Secyan.Query.has_order q in
-  (* reference: naive full join, then aggregate. Ordered instances put
-     the full naive relation through the ordered-rows oracle; the
-     unordered naive content additionally anchors the cartesian-GC
-     scalar check either way. *)
+  (* reference: naive full join, then aggregate, as the oracle answer
+     (in query order for ordered instances); the unordered naive content
+     additionally anchors the cartesian-GC scalar check either way. The
+     secure executors' revealed relations are already in query order, so
+     their physical order is the claim under test. *)
   let naive_rel =
     run_executor "naive" (fun () ->
         Yannakakis.naive semiring ~output:q.Secyan.Query.output ~relations:(relations q))
   in
-  let reference =
-    Option.map (fun r -> if ordered then ordered_oracle q r else content q r) naive_rel
-  in
+  let reference = Option.map (Secyan.Query.oracle_answer q) naive_rel in
   let compare_to name rows =
     match reference with
     | None -> ()
     | Some expected ->
         if rows <> expected then
           details :=
-            Printf.sprintf "%s diverges from naive: got [%s], expected [%s]" name
-              (pp_rows rows) (pp_rows expected)
+            Fmt.str "%s diverges from naive: got %a, expected %a" name
+              Secyan.Query.pp_answer rows Secyan.Query.pp_answer expected
             :: !details
   in
   (* plaintext three-phase Yannakakis *)
   (match
      run_executor "plaintext" (fun () ->
-         let r = Secyan.Query.plaintext q in
-         if ordered then ordered_oracle q r else content q r)
+         Secyan.Query.oracle_answer q (Secyan.Query.plaintext q))
    with
   | Some rows -> compare_to "plaintext" rows
   | None -> ());
-  let secure_content revealed =
-    if ordered then ordered_revealed revealed else content q revealed
-  in
   (* secure protocol, pure-accounting simulation *)
   (match
      run_executor "secure-sim" (fun () ->
          let ctx = Context.create ~bits:(Semiring.bits semiring) ~seed:(ctx_seed t) () in
          let revealed, _ = Secyan.Secure_yannakakis.run ctx q in
-         secure_content revealed)
+         Secyan.Query.revealed_answer q revealed)
    with
   | Some rows -> compare_to "secure-sim" rows
   | None -> ());
@@ -121,7 +90,7 @@ let check (t : Gen.instance) =
          in
          let revealed, _ = Secyan.Secure_yannakakis.run ctx q in
          Context.close_transport ctx;
-         secure_content revealed)
+         Secyan.Query.revealed_answer q revealed)
    with
   | Some rows -> compare_to "secure-pipe" rows
   | None -> ());
@@ -140,7 +109,7 @@ let check (t : Gen.instance) =
         (* the baseline has no top-k semantics: anchor it to the full
            (untruncated) naive content even for ordered instances *)
         let expected =
-          match Option.map (content q) naive_rel with
+          match Option.map (Secyan.Query.content q) naive_rel with
           | Some [ (_, a) ] -> a
           | Some [] -> 0L
           | Some _ | None -> total (* unreachable for a scalar aggregate *)

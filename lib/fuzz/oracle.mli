@@ -11,13 +11,6 @@ type outcome = {
 
 val check : Gen.instance -> outcome
 
-(** Canonical revealed content of a query result — non-dummy,
-    nonzero-annotated rows projected onto the output schema, sorted —
-    the comparison key every executor (and the peer-fuzzing oracle) is
-    held to. *)
-val content :
-  Secyan.Query.t -> Secyan_relational.Relation.t -> (string * int64) list
-
 (** Whether the cartesian-GC baseline's semantics cover this query
     (ring semiring, scalar aggregate, product below the cost cap). *)
 val gc_applicable : Secyan.Query.t -> bool

@@ -83,7 +83,7 @@ let reference_run (t : Gen.instance) =
   in
   let revealed, r = Secyan.Secure_yannakakis.run ctx q in
   Context.close_transport ctx;
-  (Oracle.content q revealed, r.Secyan.Secure_yannakakis.tally, !sent)
+  (Secyan.Query.revealed_answer q revealed, r.Secyan.Secure_yannakakis.tally, !sent)
 
 let derive_spec ~rng ~transcript_len =
   let n = 1 + Secyan_net.Rng.below rng 3 in
@@ -112,7 +112,7 @@ let mutated_run ?checkpoint ~deadline_s (t : Gen.instance) spec =
     (r, injected ())
   in
   match Secyan.Secure_yannakakis.run ctx q with
-  | revealed, r -> finish (`Done (Oracle.content q revealed, r.Secyan.Secure_yannakakis.tally))
+  | revealed, r -> finish (`Done (Secyan.Query.revealed_answer q revealed, r.Secyan.Secure_yannakakis.tally))
   | exception Protocol_schema.Protocol_violation { phase; expected; got; offset } ->
       finish
         (`Violation
@@ -141,7 +141,7 @@ let resume_matches ~dir (t : Gen.instance) (expected_content, expected_tally) =
   in
   let revealed, r = Secyan.Secure_yannakakis.run ~resume:true ctx q in
   Context.close_transport ctx;
-  let got = Oracle.content q revealed in
+  let got = Secyan.Query.revealed_answer q revealed in
   if got <> expected_content then Error "resumed content diverges from reference"
   else if not (Comm.equal r.Secyan.Secure_yannakakis.tally expected_tally) then
     Error "resumed tally diverges from reference"

@@ -2,15 +2,8 @@
     terminals, JSONL for machine diffing, and Prometheus text exposition
     for scrapers. The registry itself (handles, recording, the enable
     flag) lives at the bottom of the dependency chain so the crypto and
-    net hot paths can record into it; this module re-exports the control
-    surface so CLI-level code needs only [Secyan_obs.Metrics]. *)
-
-(* --- registry re-exports -------------------------------------------- *)
-
-let enabled = Secyan_metrics.enabled
-let set_enabled = Secyan_metrics.set_enabled
-let snapshot = Secyan_metrics.snapshot
-let reset = Secyan_metrics.reset
+    net hot paths can record into it; callers enable, reset and snapshot
+    it through [Secyan_metrics] directly. *)
 
 type format = Pretty | Jsonl | Prometheus
 
@@ -154,7 +147,7 @@ let prometheus ppf samples =
 
 (** Render the current registry snapshot in [format]. *)
 let export format ppf =
-  let samples = snapshot () in
+  let samples = Secyan_metrics.snapshot () in
   (match format with
   | Pretty -> pretty ppf samples
   | Jsonl -> jsonl ppf samples

@@ -1,12 +1,7 @@
-(** Exporters over the {!Secyan_metrics} registry, plus re-exports of its
-    control surface so CLI-level code needs only [Secyan_obs.Metrics].
-    Metric handles themselves are registered via [Secyan_metrics] (see
-    DESIGN.md §13 for the architecture and naming conventions). *)
-
-val enabled : unit -> bool
-val set_enabled : bool -> unit
-val snapshot : unit -> Secyan_metrics.sample list
-val reset : unit -> unit
+(** Exporters over the {!Secyan_metrics} registry. The registry's
+    control surface (enable, reset, snapshot) and the metric handles
+    live in [Secyan_metrics] itself (see DESIGN.md §13 for the
+    architecture and naming conventions). *)
 
 type format =
   | Pretty       (** aligned table with histogram count/sum/mean/p50/p90/p99 *)

@@ -1,9 +1,9 @@
-(** The five TPC-H queries of the paper's evaluation (§8.1) as free-connex
-    join-aggregate queries: private selections become dummies, nation is
-    rewritten away where public, revenue = extendedprice x (100 -
-    discount), relations are partitioned between the parties in the worst
-    possible way. Q3/Q10/Q18 are single protocol runs; Q8 and Q9 are
-    compositions (§7). *)
+(** The five TPC-H queries of the paper's evaluation (§8.1), plus Q1, Q4
+    and Q14 beyond it, as free-connex join-aggregate queries: private
+    selections become dummies, nation is rewritten away where public,
+    revenue = extendedprice x (100 - discount), relations are partitioned
+    between the parties in the worst possible way. Q3/Q10/Q18/Q1/Q4 are
+    single protocol runs; Q8, Q9 and Q14 are compositions (§7). *)
 
 open Secyan_crypto
 open Secyan_relational
@@ -27,35 +27,7 @@ val context :
   ?cancel:Deadline.t -> ?supervisor:Domain_pool.supervisor ->
   seed:int64 -> unit -> Context.t
 
-(** {2 Relation shaping helpers} (shared with {!Extra_queries}) *)
-
-val geti : Schema.t -> string -> Tuple.t -> int
-val gets : Schema.t -> string -> Tuple.t -> string
-
-(** Project onto [attrs] (+ virtual columns), dummy out tuples failing
-    [keep], annotate with [annot]; duplicate projections pre-aggregate
-    locally and the cardinality stays public. *)
-val shape :
-  Relation.t ->
-  name:string ->
-  attrs:string list ->
-  ?virtuals:(string * (Schema.t -> Tuple.t -> Value.t)) list ->
-  keep:(Schema.t -> Tuple.t -> bool) ->
-  annot:(Schema.t -> Tuple.t -> int64) ->
-  unit ->
-  Relation.t
-
-val always : Schema.t -> Tuple.t -> bool
-val const_one : Schema.t -> Tuple.t -> int64
-
-(** revenue = l_extendedprice x (100 - l_discount), cents x 100. *)
-val revenue : Schema.t -> Tuple.t -> int64
-
-val date_lt : string -> Value.t -> Schema.t -> Tuple.t -> bool
-val date_ge : string -> Value.t -> Schema.t -> Tuple.t -> bool
-val year_virtual : Schema.t -> Tuple.t -> Value.t
-
-(** {2 The evaluation queries} *)
+(** {2 The queries} *)
 
 val q3 : Datagen.dataset -> Secyan.Query.t
 val q10 : Datagen.dataset -> Secyan.Query.t
@@ -63,44 +35,61 @@ val q10 : Datagen.dataset -> Secyan.Query.t
 (** [threshold] is the HAVING sum(l_quantity) bound (default 300). *)
 val q18 : ?threshold:int -> Datagen.dataset -> Secyan.Query.t
 
-val q8_nation : int
-val q8_customer_nations : int list
+(** Q1 restricted to one aggregate: revenue per return flag for lineitems
+    shipped before [cutoff] — a single-relation query. *)
+val q1 : ?cutoff:Value.t -> Datagen.dataset -> Secyan.Query.t
 
-(** One of Q8's two inner queries: [numerator] restricts supplier
-    annotations to Ind(s_nationkey = {!q8_nation}). *)
-val q8_inner : Datagen.dataset -> numerator:bool -> Secyan.Query.t
+(** Q4: orders of one quarter with at least one late lineitem, counted
+    per ship priority; the EXISTS subquery is computed locally by the
+    lineitem owner and padded to |lineitem|. *)
+val q4 : ?quarter_start:Value.t -> Datagen.dataset -> Secyan.Query.t
 
-type q8_result = {
-  shares_per_year : (int * int64) list;  (** (year, mkt_share x 1000) *)
-  tally : Comm.tally;
-  seconds : float;
-}
-
-(** Composed Q8: two secure runs + one division circuit per year. *)
-val run_q8 : Context.t -> Datagen.dataset -> q8_result
-
-val q8_plaintext : Datagen.dataset -> (int * int64) list
-
-(** Index a shared-output protocol result by its single int attribute. *)
-val index_by_int_key :
-  Secyan.Secure_yannakakis.result -> (int * Secret_share.t) list
-
-(** Q9's inner query for one nation; [volume] selects revenue vs
-    supplycost x quantity. *)
-val q9_inner : Datagen.dataset -> nationkey:int -> volume:bool -> Secyan.Query.t
-
-type q9_result = {
-  rows : (int * int * int) list;  (** (nationkey, year, profit in cents) *)
-  tally : Comm.tally;
-  seconds : float;
-}
+(** What one run of a catalogue query returns: its answer, and the
+    communication and wall-clock of all its protocol executions. *)
+type outcome = { answer : Secyan.Query.answer; tally : Comm.tally; seconds : float }
 
 (** Composed Q9: per nation, two secure runs, local share subtraction,
-    reveal. [nations] restricts the 25-way decomposition. *)
-val run_q9 : ?nations:int list -> Context.t -> Datagen.dataset -> q9_result
+    reveal; the answer holds the nonzero (nationkey, year) profits in
+    cents. [nations] restricts the 25-way decomposition (default: all). *)
+val run_q9 : ?nations:int list -> Context.t -> Datagen.dataset -> outcome
 
-val q9_plaintext : ?nations:int list -> Datagen.dataset -> (int * int * int) list
+val q9_plaintext : ?nations:int list -> Datagen.dataset -> Secyan.Query.answer
 
 (** Effective input size in bytes: the columns involved in the query, the
     x-axis of Figures 2-6. *)
 val effective_input_bytes : Secyan.Query.t -> int
+
+(** {2 The catalogue}
+
+    The eight queries in one list, in the order the evaluation plots
+    them: Q3, Q10, Q18, Q8, Q9 (Figures 2–6), then Q1, Q4, Q14. Every
+    runner dispatches through it. *)
+
+(** A catalogue query built over one dataset. *)
+type instance = {
+  query : Secyan.Query.t;
+      (** the query a single execution runs; for a composition, its
+          inner query (every inner query of Q8, Q9 and Q14 has this
+          shape) *)
+  run : ?resume:bool -> Context.t -> outcome;
+      (** run every execution over the context; [~resume:true] (single
+          executions only) restarts from the context's checkpoint sink *)
+  plaintext : unit -> Secyan.Query.answer;  (** the plaintext oracle's answer *)
+}
+
+type entry = {
+  name : string;  (** lower case, as the CLI names it: "q3", ..., "q14" *)
+  executions : int;
+      (** protocol executions per run: 1, 2 (Q8, Q14) or 50 (Q9); only
+          single executions are checkpointable *)
+  instantiate : Datagen.dataset -> instance;
+}
+
+val catalogue : entry list
+
+(** @raise Invalid_argument for a name not in the catalogue. *)
+val find : string -> entry
+
+(** One protocol execution of [q] as an outcome (revealed answer, tally,
+    seconds): what a single-execution entry runs, for ad-hoc queries. *)
+val run_query : ?resume:bool -> Context.t -> Secyan.Query.t -> outcome

@@ -154,13 +154,6 @@ let test_resume_handshake () =
 (* ------------------------------------------------------------------ *)
 (* Kill and resume: bit-identity for q3/q10/q18 at xs                 *)
 
-let project_content output (r : Secyan_relational.Relation.t) =
-  let open Secyan_relational in
-  Relation.nonzero r
-  |> List.filter (fun (t, _) -> not (Tuple.is_dummy t))
-  |> List.map (fun (t, a) -> (Tuple.repr (Tuple.project r.Relation.schema output t), a))
-  |> List.sort compare
-
 (* protocol counters with the per-process checkpoint accounting masked
    out: those legitimately differ between a plain and a resumed run.
    [mask_transport] additionally masks the transport-chatter counters
@@ -231,10 +224,9 @@ let kill_and_resume ?(resume_chaos = "") make () =
   let resumed_rel, resumed_stats = Secyan.Secure_yannakakis.run ~resume:true resume_ctx q in
   Alcotest.(check bool) "really resumed mid-stream" true
     (Option.is_some resume_sink.Checkpoint.resumed_from);
-  Alcotest.(check (list (pair string int64)))
-    "revealed result identical"
-    (project_content q.Secyan.Query.output clean_rel)
-    (project_content q.Secyan.Query.output resumed_rel);
+  Alcotest.check Answer.testable "revealed result identical"
+    (Secyan.Query.revealed_answer q clean_rel)
+    (Secyan.Query.revealed_answer q resumed_rel);
   Alcotest.(check bool) "comm tally bit-identical" true
     (Comm.equal clean_stats.Secyan.Secure_yannakakis.tally
        resumed_stats.Secyan.Secure_yannakakis.tally);
@@ -295,10 +287,9 @@ let cancel_and_resume make () =
   let resumed_rel, resumed_stats = Secyan.Secure_yannakakis.run ~resume:true resume_ctx q in
   Alcotest.(check bool) "really resumed mid-stream" true
     (Option.is_some resume_sink.Checkpoint.resumed_from);
-  Alcotest.(check (list (pair string int64)))
-    "revealed result identical"
-    (project_content q.Secyan.Query.output clean_rel)
-    (project_content q.Secyan.Query.output resumed_rel);
+  Alcotest.check Answer.testable "revealed result identical"
+    (Secyan.Query.revealed_answer q clean_rel)
+    (Secyan.Query.revealed_answer q resumed_rel);
   Alcotest.(check bool) "comm tally bit-identical" true
     (Comm.equal clean_stats.Secyan.Secure_yannakakis.tally
        resumed_stats.Secyan.Secure_yannakakis.tally);

@@ -375,13 +375,6 @@ let test_rng_below_uniform () =
 (* ------------------------------------------------------------------ *)
 (* Accounting equivalence: sim vs real channel                        *)
 
-let project_content output (r : Secyan_relational.Relation.t) =
-  let open Secyan_relational in
-  Relation.nonzero r
-  |> List.filter (fun (t, _) -> not (Tuple.is_dummy t))
-  |> List.map (fun (t, a) -> (Tuple.repr (Tuple.project r.Relation.schema output t), a))
-  |> List.sort compare
-
 let test_tally_identical_sim_vs_transport () =
   let run transport =
     let d = Datagen.generate ~sf:4e-5 ~seed:1L in
@@ -392,14 +385,13 @@ let test_tally_identical_sim_vs_transport () =
     @@ fun () ->
     let q = Queries.q3 d in
     let revealed, stats = Secyan.Secure_yannakakis.run ctx q in
-    ( stats.Secyan.Secure_yannakakis.tally,
-      project_content q.Secyan.Query.output revealed )
+    (stats.Secyan.Secure_yannakakis.tally, Secyan.Query.revealed_answer q revealed)
   in
   let sim_tally, sim_content = run None in
   let tr = Resilient.create (Transport.inproc ()) in
   let net_tally, net_content = run (Some tr) in
   Alcotest.(check bool) "tallies bit-identical" true (Comm.equal sim_tally net_tally);
-  Alcotest.(check (list (pair string int64))) "same revealed result" sim_content net_content;
+  Alcotest.check Answer.testable "same revealed result" sim_content net_content;
   let s = Resilient.stats tr in
   Alcotest.(check bool) "traffic really crossed the channel" true
     (s.Resilient.transfers > 0);
@@ -538,37 +530,24 @@ let fault_cases =
 
 let xs () = Datagen.generate ~sf:4e-5 ~seed:1L
 
-let run_simple_query make_query ctx d =
-  let q = make_query d in
-  let revealed, _ = Secyan.Secure_yannakakis.run ctx q in
-  let expected = Secyan.Query.plaintext q in
-  Alcotest.(check (list (pair string int64)))
-    (q.Secyan.Query.name ^ " under chaos = plaintext")
-    (project_content q.Secyan.Query.output expected)
-    (project_content q.Secyan.Query.output revealed)
-
-let run_q8 ctx d =
-  let r = Queries.run_q8 ctx d in
-  Alcotest.(check (list (pair int int64)))
-    "q8 under chaos = plaintext" (Queries.q8_plaintext d) r.Queries.shares_per_year
+(* a catalogue entry's run against its plaintext answer *)
+let run_entry name ctx d =
+  let inst = (Queries.find name).instantiate d in
+  Alcotest.check Answer.testable
+    (name ^ " under chaos = plaintext")
+    (inst.plaintext ()) (inst.run ctx).answer
 
 let run_q9 ctx d =
   (* one nation keeps the composed 2x25-run query affordable in a 25-case
      matrix; the transport path is identical across nations *)
   let nations = [ 3 ] in
-  let r = Queries.run_q9 ~nations ctx d in
-  let got = List.filter (fun (_, _, a) -> a <> 0) r.Queries.rows in
-  Alcotest.(check (list (triple int int int)))
-    "q9 under chaos = plaintext"
-    (List.sort compare (Queries.q9_plaintext ~nations d))
-    (List.sort compare got)
+  Alcotest.check Answer.testable "q9 under chaos = plaintext"
+    (Queries.q9_plaintext ~nations d)
+    (Queries.run_q9 ~nations ctx d).answer
 
 let matrix_queries =
-  [ ("q3", run_simple_query Queries.q3);
-    ("q10", run_simple_query Queries.q10);
-    ("q18", run_simple_query (Queries.q18 ?threshold:None));
-    ("q8", run_q8);
-    ("q9", run_q9) ]
+  List.map (fun name -> (name, run_entry name)) [ "q3"; "q10"; "q18"; "q8" ]
+  @ [ ("q9", run_q9) ]
 
 let run_matrix_case ~query ~run ~spec ~expected () =
   let name = Printf.sprintf "%s/%s" query spec in

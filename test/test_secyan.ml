@@ -294,19 +294,15 @@ let fig1_query seed owners =
         ("R5", { Query.relation = r5; owner = o5 });
       ]
 
-let project_content output (r : Relation.t) =
-  Relation.nonzero r
-  |> List.filter (fun (t, _) -> not (Tuple.is_dummy t))
-  |> List.map (fun (t, a) -> (Tuple.repr (Tuple.project r.Relation.schema output t), a))
-  |> List.sort compare
+(* The secure run of [q] against the plaintext oracle, through the one
+   answer check (query order for ORDER BY queries, sorted otherwise). *)
+let secure_answers ctx q =
+  let revealed, _ = Secure_yannakakis.run ctx q in
+  (Query.oracle_answer q (Query.plaintext q), Query.revealed_answer q revealed)
 
 let check_protocol ctx q =
-  let revealed, _stats = Secure_yannakakis.run ctx q in
-  let expected = Query.plaintext q in
-  let output = q.Query.output in
-  Alcotest.(check (list (pair string check_i64))) "secure = plaintext"
-    (project_content output expected)
-    (project_content output revealed)
+  let expected, got = secure_answers ctx q in
+  Alcotest.check Answer.testable "secure = plaintext" expected got
 
 let test_protocol_fig1 () =
   check_protocol (ctx_sim ())
@@ -332,9 +328,8 @@ let protocol_random =
       in
       let q = fig1_query seed owners in
       let ctx = ctx_sim ~seed:(Int64.of_int (seed + 17)) () in
-      let revealed, _ = Secure_yannakakis.run ctx q in
-      let expected = Query.plaintext q in
-      project_content q.Query.output expected = project_content q.Query.output revealed)
+      let expected, got = secure_answers ctx q in
+      expected = got)
 
 let test_protocol_example_11 () =
   let ctx = ctx_sim () in
@@ -353,9 +348,9 @@ let test_protocol_example_11 () =
         ]
   in
   let revealed, _ = Secure_yannakakis.run ctx q in
-  Alcotest.(check (list (pair string check_i64))) "payout by class"
-    [ ("i1", 180000L); ("i2", 25000L) ]
-    (project_content q.Query.output revealed)
+  Alcotest.check Answer.testable "payout by class"
+    [ ([| v 1 |], 180000L); ([| v 2 |], 25000L) ]
+    (Query.revealed_answer q revealed)
 
 (* MIN-aggregate over a join via the tropical (min,+) semiring: the
    cheapest total price per region, where item base prices live with
@@ -400,9 +395,8 @@ let test_protocol_tropical_min () =
     decoded;
   (* and it matches the plaintext algorithm *)
   let plain = Query.plaintext q in
-  Alcotest.(check (list (pair string check_i64))) "matches plaintext"
-    (project_content q.Query.output plain)
-    (project_content q.Query.output revealed)
+  Alcotest.check Answer.testable "matches plaintext" (Query.oracle_answer q plain)
+    (Query.revealed_answer q revealed)
 
 (* the run with shared output (for composition) must agree with run *)
 let test_run_shared_consistent () =
@@ -413,9 +407,9 @@ let test_run_shared_consistent () =
     Relation.with_annots r.Secure_yannakakis.joined
       (Array.map (Secret_share.reconstruct ctx) r.Secure_yannakakis.annots)
   in
-  Alcotest.(check (list (pair string check_i64))) "shared = plaintext"
-    (project_content q.Query.output (Query.plaintext q))
-    (project_content q.Query.output reconstructed)
+  Alcotest.check Answer.testable "shared = plaintext"
+    (Query.content q (Query.plaintext q))
+    (Query.content q reconstructed)
 
 (* Fully random free-connex queries: a random tree shape, one fresh join
    attribute per tree edge plus private per-node attributes, output = the
@@ -475,9 +469,8 @@ let protocol_random_trees =
     (fun seed ->
       let q = random_query_random_tree seed in
       let ctx = ctx_sim ~seed:(Int64.of_int (seed + 23)) () in
-      let revealed, _ = Secure_yannakakis.run ctx q in
-      let expected = Query.plaintext q in
-      project_content q.Query.output expected = project_content q.Query.output revealed)
+      let expected, got = secure_answers ctx q in
+      expected = got)
 
 (* ------------------------------------------------------------------ *)
 (* Edge cases *)
@@ -529,8 +522,8 @@ let test_protocol_singletons () =
         ]
   in
   let revealed, _ = Secure_yannakakis.run ctx q in
-  Alcotest.(check (list (pair string check_i64))) "single row" [ ("i7", 15L) ]
-    (project_content q.Query.output revealed)
+  Alcotest.check Answer.testable "single row" [ ([| v 7 |], 15L) ]
+    (Query.revealed_answer q revealed)
 
 (* tropical operators against plaintext semantics on random instances *)
 let tropical_operators_random =
@@ -619,13 +612,6 @@ let test_protocol_backend_cost_parity () =
 (* ------------------------------------------------------------------ *)
 (* The oblivious ORDER BY / top-k phase (DESIGN.md §17) *)
 
-(* Rows of the revealed relation in their physical (= query) order. *)
-let ordered_content (r : Relation.t) =
-  Relation.nonzero r |> List.map (fun (t, a) -> (Tuple.repr t, a))
-
-let expected_ordered q =
-  Query.ordered_rows q (Query.plaintext q) |> List.map (fun (t, a) -> (Tuple.repr t, a))
-
 let order_query ?order_by ?limit () =
   let r1 =
     rel "R1" [ "a"; "b" ]
@@ -641,9 +627,26 @@ let order_query ?order_by ?limit () =
          ])
 
 let check_ordered ?(ctx = ctx_sim ()) q =
-  let revealed, _ = Secure_yannakakis.run ctx q in
-  Alcotest.(check (list (pair string check_i64)))
-    "ordered result" (expected_ordered q) (ordered_content revealed)
+  let expected, got = secure_answers ctx q in
+  Alcotest.check Answer.testable "ordered result" expected got
+
+(* A revealed relation's physical row order is part of an ORDER BY
+   query's answer and irrelevant to an unordered one's; the oracle's
+   answer of a full result never depends on it. *)
+let test_answer_row_order () =
+  let result rows = Relation.of_list ~name:"out" ~schema:(Schema.of_list [ "a"; "b" ]) rows in
+  let rows = [ ([| v 1; v 10 |], 5L); ([| v 2; v 20 |], 3L) ] in
+  let straight = result rows and swapped = result (List.rev rows) in
+  let ordered = order_query ~order_by:[ (Query.By_agg, Query.Desc) ] () in
+  let unordered = order_query () in
+  Alcotest.(check bool) "ordered: swapped rows differ" false
+    (Query.revealed_answer ordered straight = Query.revealed_answer ordered swapped);
+  Alcotest.check Answer.testable "unordered: swapped rows agree"
+    (Query.revealed_answer unordered straight)
+    (Query.revealed_answer unordered swapped);
+  Alcotest.check Answer.testable "oracle: swapped rows agree"
+    (Query.oracle_answer ordered straight)
+    (Query.oracle_answer ordered swapped)
 
 let test_order_by_agg_desc () =
   check_ordered (order_query ~order_by:[ (Query.By_agg, Query.Desc) ] ())
@@ -703,11 +706,11 @@ let test_order_domains_bit_identical () =
     let ctx = Context.create ~gc_backend:Context.Sim ~domains ~seed:7L () in
     let revealed, stats = Secure_yannakakis.run ctx q in
     Context.shutdown_pool ctx;
-    (ordered_content revealed, stats.Secure_yannakakis.tally)
+    (Query.revealed_answer q revealed, stats.Secure_yannakakis.tally)
   in
   let r1, t1 = run 1 and r2, t2 = run 2 and r4, t4 = run 4 in
-  Alcotest.(check (list (pair string check_i64))) "domains 2 = 1" r1 r2;
-  Alcotest.(check (list (pair string check_i64))) "domains 4 = 1" r1 r4;
+  Alcotest.check Answer.testable "domains 2 = 1" r1 r2;
+  Alcotest.check Answer.testable "domains 4 = 1" r1 r4;
   Alcotest.(check bool) "tallies identical" true (Comm.equal t1 t2 && Comm.equal t1 t4)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -760,6 +763,7 @@ let () =
           Alcotest.test_case "empty result" `Quick test_protocol_empty_result;
           Alcotest.test_case "all dummies" `Quick test_protocol_all_dummies;
           Alcotest.test_case "singletons" `Quick test_protocol_singletons;
+          Alcotest.test_case "answer row order" `Quick test_answer_row_order;
           Alcotest.test_case "order by agg desc" `Quick test_order_by_agg_desc;
           Alcotest.test_case "order by attr + limit" `Quick test_order_by_attr_asc_limit;
           Alcotest.test_case "limit edge cases" `Quick test_order_limit_edges;

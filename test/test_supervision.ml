@@ -310,19 +310,11 @@ let test_supervised_cancel_wins_over_failure_free_abort () =
 (* ------------------------------------------------------------------ *)
 (* Acceptance fault matrix: compute faults x {q3, q10, q18} at xs     *)
 
-let project_content output (r : Secyan_relational.Relation.t) =
-  let open Secyan_relational in
-  Relation.nonzero r
-  |> List.filter (fun (t, _) -> not (Tuple.is_dummy t))
-  |> List.map (fun (t, a) -> (Tuple.repr (Tuple.project r.Relation.schema output t), a))
-  |> List.sort compare
-
 let check_query_correct name ctx q =
   let revealed, _ = Secyan.Secure_yannakakis.run ctx q in
-  Alcotest.(check (list (pair string int64)))
-    name
-    (project_content q.Secyan.Query.output (Secyan.Query.plaintext q))
-    (project_content q.Secyan.Query.output revealed)
+  Alcotest.check Answer.testable name
+    (Secyan.Query.oracle_answer q (Secyan.Query.plaintext q))
+    (Secyan.Query.revealed_answer q revealed)
 
 type compute_fault = Worker_raise | Worker_hang | Deadline_expiry | Over_budget
 
@@ -408,12 +400,12 @@ let test_supervised_run_bit_identical () =
     let ctx = Queries.context ~domains:2 ?supervisor ~seed:99L () in
     Fun.protect ~finally:(fun () -> close ctx) @@ fun () ->
     let revealed, stats = Secyan.Secure_yannakakis.run ctx q in
-    ( project_content q.Secyan.Query.output revealed,
+    ( Secyan.Query.revealed_answer q revealed,
       stats.Secyan.Secure_yannakakis.tally )
   in
   let plain_rel, plain_tally = run () in
   let sup_rel, sup_tally = run ~supervisor:Domain_pool.default_supervisor () in
-  Alcotest.(check (list (pair string int64))) "same revealed result" plain_rel sup_rel;
+  Alcotest.check Answer.testable "same revealed result" plain_rel sup_rel;
   Alcotest.(check bool) "tally bit-identical" true (Comm.equal plain_tally sup_tally)
 
 (* ------------------------------------------------------------------ *)
