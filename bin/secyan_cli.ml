@@ -250,7 +250,7 @@ let print_checkpoint_stats = function
         | None -> ""
         | Some epoch -> Printf.sprintf ", resumed from epoch %d" epoch)
 
-(* The protocol runs in-process; [Context.wire_of] moves filler payloads
+(* The protocol runs in-process; the transport observer moves filler payloads
    of each transfer's declared size, so the footer says what crossed. *)
 let print_transport_stats = function
   | None -> ()
@@ -421,6 +421,7 @@ let run_cmd query scale sf seed backend domains transport chaos chaos_seed malic
     match metrics with
     | None -> ()
     | Some format ->
+        Secyan_obs.Profile.publish_counters ctx;
         Option.iter Secyan_obs.Profile.publish_pool_timelines (Context.pool_opt ctx);
         let format =
           match format with

@@ -363,14 +363,15 @@ let restore (ctx : Context.t) ~session ~epoch (s : snapshot) : unit =
 
 (** Serialize and emit one snapshot through the context's checkpoint
     sink (no-op without one), under a ["checkpoint"] trace span, bumping
-    [Checkpoints_written]/[Checkpoint_bytes]. *)
-let save (ctx : Context.t) (q : Query.t) ~label ~(stage : stage) : unit =
+    [Checkpoints_written]/[Checkpoint_bytes]. [fingerprint] is the run's
+    {!fingerprint}, forced only when a sink is attached. *)
+let save (ctx : Context.t) ~(fingerprint : string Lazy.t) ~label ~(stage : stage) : unit =
   match ctx.Context.checkpoint with
   | None -> ()
   | Some sink ->
       Context.with_span ctx "checkpoint" @@ fun () ->
       let payload = encode_snapshot (capture ctx ~stage) in
-      let bytes = Checkpoint.emit sink ~fingerprint:(fingerprint ctx q) ~label payload in
+      let bytes = Checkpoint.emit sink ~fingerprint:(Lazy.force fingerprint) ~label payload in
       Context.bump ctx Trace_sink.Checkpoints_written 1;
       Context.bump ctx Trace_sink.Checkpoint_bytes bytes
 
@@ -381,17 +382,18 @@ type resumed = {
 }
 
 (** Load the latest checkpoint of the context's sink directory, verify it
-    belongs to [(ctx, q)], decode it, reinstate it on [ctx], and point the
-    sink at the next epoch of the same session. [None] when no sink is
-    attached or the directory holds no checkpoints (fresh start).
+    carries the run's [fingerprint], decode it, reinstate it on [ctx], and
+    point the sink at the next epoch of the same session. [None] when no
+    sink is attached or the directory holds no checkpoints (fresh start).
     @raise Checkpoint.Checkpoint_error on damaged or mismatched files.
     @raise Secyan_net.Resilient.Resume_mismatch on handshake disagreement. *)
-let load_and_restore (ctx : Context.t) (q : Query.t) : resumed option =
+let load_and_restore (ctx : Context.t) ~(fingerprint : string Lazy.t) : resumed option =
   match ctx.Context.checkpoint with
   | None -> None
   | Some sink -> (
-      let fingerprint = fingerprint ctx q in
-      match Checkpoint.load_latest ~dir:sink.Checkpoint.dir ~fingerprint with
+      match
+        Checkpoint.load_latest ~dir:sink.Checkpoint.dir ~fingerprint:(Lazy.force fingerprint)
+      with
       | None -> None
       | Some loaded ->
           let snapshot =

@@ -55,8 +55,11 @@ val restore : Context.t -> session:string -> epoch:int -> snapshot -> unit
 
 (** Serialize and emit one snapshot through the context's checkpoint sink
     (no-op without one), under a ["checkpoint"] trace span, bumping the
-    [Checkpoints_written]/[Checkpoint_bytes] counters. *)
-val save : Context.t -> Query.t -> label:string -> stage:stage -> unit
+    [Checkpoints_written]/[Checkpoint_bytes] counters. [fingerprint] is
+    the run's {!fingerprint}: the inputs cannot change within a run, so
+    the caller digests them once, and it is forced only when a sink is
+    attached. *)
+val save : Context.t -> fingerprint:string Lazy.t -> label:string -> stage:stage -> unit
 
 type resumed = {
   snapshot : snapshot;
@@ -65,9 +68,10 @@ type resumed = {
 }
 
 (** Load the latest checkpoint of the context's sink directory, verify it
-    belongs to [(ctx, q)], reinstate it on [ctx], and point the sink at
-    the next epoch of the same session. [None] when no sink is attached
-    or the directory holds no checkpoints (fresh start).
+    carries the run's [fingerprint] (as for {!save}), reinstate it on
+    [ctx], and point the sink at the next epoch of the same session.
+    [None] when no sink is attached or the directory holds no
+    checkpoints (fresh start).
     @raise Checkpoint.Checkpoint_error on damaged or mismatched files.
     @raise Secyan_net.Resilient.Resume_mismatch on handshake disagreement. *)
-val load_and_restore : Context.t -> Query.t -> resumed option
+val load_and_restore : Context.t -> fingerprint:string Lazy.t -> resumed option

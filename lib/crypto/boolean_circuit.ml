@@ -175,7 +175,3 @@ module Builder = struct
         let z = match zero with Const _ -> emit b (Xor (anchor, anchor)) | w -> w in
         if c then bnot b z else z
 end
-
-let pp_stats fmt t =
-  Fmt.pf fmt "%d inputs, %d gates (%d AND), %d outputs" t.n_inputs (n_gates t) t.and_count
-    (n_outputs t)

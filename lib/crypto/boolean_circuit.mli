@@ -59,5 +59,3 @@ module Builder : sig
       @raise Invalid_argument if an output is still a folded constant. *)
   val finalize : b -> outputs:value array -> t
 end
-
-val pp_stats : Format.formatter -> t -> unit

@@ -73,8 +73,6 @@ let eq_word b (x : word) (y : word) =
 let nonzero_word b (x : word) =
   Array.fold_left (fun acc bit -> bor b acc bit) (const_ false) x
 
-let is_zero_word b (x : word) = bnot b (nonzero_word b x)
-
 (** Unsigned x < y via the borrow chain of x - y: one AND per bit. *)
 let lt_word b (x : word) (y : word) =
   let borrow = ref (const_ false) in
@@ -88,7 +86,6 @@ let lt_word b (x : word) (y : word) =
   !borrow
 
 let gt_word b x y = lt_word b y x
-let le_word b x y = bnot b (lt_word b y x)
 
 (** [mux_word b ~sel x y] = if sel then x else y; one AND per bit. *)
 let mux_word b ~sel (x : word) (y : word) : word =
@@ -138,5 +135,3 @@ let rec sum_words b = function
     when a word may contain folded constants). [anchor] is any input wire. *)
 let materialize_word b anchor (x : word) : word =
   Array.map (fun v -> materialize b anchor v) x
-
-let output_word ~outputs (x : word) = Array.iter (fun v -> outputs := v :: !outputs) x

@@ -30,16 +30,12 @@ val eq_word :
   Boolean_circuit.Builder.b -> word -> word -> Boolean_circuit.Builder.value
 
 val nonzero_word : Boolean_circuit.Builder.b -> word -> Boolean_circuit.Builder.value
-val is_zero_word : Boolean_circuit.Builder.b -> word -> Boolean_circuit.Builder.value
 
 (** Unsigned comparison via the borrow chain. *)
 val lt_word :
   Boolean_circuit.Builder.b -> word -> word -> Boolean_circuit.Builder.value
 
 val gt_word :
-  Boolean_circuit.Builder.b -> word -> word -> Boolean_circuit.Builder.value
-
-val le_word :
   Boolean_circuit.Builder.b -> word -> word -> Boolean_circuit.Builder.value
 
 (** [mux_word b ~sel x y] = if sel then x else y. *)
@@ -63,5 +59,3 @@ val sum_words : Boolean_circuit.Builder.b -> word list -> word
 (** Materialize every possibly-constant bit onto real wires (before
     [finalize]); [anchor] is any existing input wire id. *)
 val materialize_word : Boolean_circuit.Builder.b -> int -> word -> word
-
-val output_word : outputs:Boolean_circuit.Builder.value list ref -> word -> unit

@@ -20,24 +20,14 @@ type t = {
   mutable bob_to_alice : int;
   mutable rounds : int;
   (* The run's observers, in attach order; empty by default, so the
-     untraced [send] pays one empty-list match and allocates nothing. *)
+     untraced [send] pays one empty-list match and allocates nothing. A
+     real transport is one of them (attached by [Context.create]): the
+     tally is updated first and from the declared bit count alone, so
+     accounting stays bit-identical whether or not bytes cross a wire. *)
   mutable observers : Trace_sink.t list;
-  (* The physical channel, None (pure accounting) by default: when a real
-     transport is attached to the context, every [send] additionally moves
-     a payload of the declared size over it. The tally above is updated
-     first and from the declared bit count alone, so accounting stays
-     bit-identical whether or not bytes actually cross a wire. *)
-  mutable wire : (from:Party.t -> bits:int -> unit) option;
-  (* The protocol state machine guarding the wire, attached alongside it:
-     every [send] consults it before the wire fires, so traffic the
-     receive path would reject as out-of-phase is caught at the source as
-     a typed [Protocol_schema.Protocol_violation]. *)
-  mutable schema : Protocol_schema.t option;
 }
 
-let create () =
-  { alice_to_bob = 0; bob_to_alice = 0; rounds = 0;
-    observers = []; wire = None; schema = None }
+let create () = { alice_to_bob = 0; bob_to_alice = 0; rounds = 0; observers = [] }
 
 (** Add an observer; it sees every later event. *)
 let attach t o = t.observers <- t.observers @ [ o ]
@@ -47,22 +37,6 @@ let detach t o = t.observers <- List.filter (fun x -> x != o) t.observers
 
 let observers t = t.observers
 
-(** Attach (or with [None] detach) the physical channel behind [send].
-    @raise Invalid_argument if a wire is already attached. *)
-let set_wire t wire =
-  (match (wire, t.wire) with
-  | Some _, Some _ ->
-      invalid_arg "Comm.set_wire: a wire is already attached (at most one at a time)"
-  | _ -> ());
-  t.wire <- wire
-
-(** Attach (or with [None] detach) the protocol state machine consulted
-    before each wired send; attached together with the wire by
-    [Context.create]. *)
-let set_schema t schema = t.schema <- schema
-
-let schema t = t.schema
-
 let send t ~from ~bits =
   if bits < 0 then
     invalid_arg (Printf.sprintf "Comm.send: bit count %d is negative (expected >= 0)" bits);
@@ -70,18 +44,9 @@ let send t ~from ~bits =
   | Alice -> t.alice_to_bob <- t.alice_to_bob + bits
   | Bob -> t.bob_to_alice <- t.bob_to_alice + bits);
   (* The list is read once, so an observer may detach itself mid-event. *)
-  (match t.observers with
+  match t.observers with
   | [] -> ()
-  | os -> List.iter (fun o -> o.Trace_sink.send ~from ~bits) os);
-  match t.wire with
-  | None -> ()
-  | Some f ->
-      (* Consult the state machine before any payload crosses the wire:
-         what is this message, and may it be sent in the current phase? *)
-      (match t.schema with
-      | None -> ()
-      | Some s -> ignore (Protocol_schema.check_send s ~bits : Secyan_net.Envelope.kind));
-      f ~from ~bits
+  | os -> List.iter (fun o -> o.Trace_sink.send ~from ~bits) os
 
 (** Declare [n] additional communication rounds. Primitive protocols bump
     this by their (constant) round count. *)
@@ -92,8 +57,8 @@ let bump_rounds t n =
 let tally t =
   { alice_to_bob_bits = t.alice_to_bob; bob_to_alice_bits = t.bob_to_alice; rounds = t.rounds }
 
-(** Overwrite the counters with an absolute tally. Observers and the wire
-    do not fire: this is state restoration (checkpoint resume), not
+(** Overwrite the counters with an absolute tally. Observers do not
+    fire: this is state restoration (checkpoint resume), not
     traffic. *)
 let restore t (tally : tally) =
   t.alice_to_bob <- tally.alice_to_bob_bits;

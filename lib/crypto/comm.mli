@@ -15,12 +15,16 @@ type t
 
 val create : unit -> t
 
-(** Account [bits] sent by [from] to the other party. [bits = 0] is legal
-    and a no-op on the tally (observers still fire). When a wire is
-    attached (see {!set_wire}) the send additionally moves a payload of
-    the declared size over the physical channel — after the tally update,
-    which depends on the declared bit count alone, so accounting is
-    bit-identical with and without a transport.
+(** Account [bits] sent by [from] to the other party, then announce the
+    send to the observers in attach order. [bits = 0] is legal and a
+    no-op on the tally (observers still fire). A real transport is an
+    observer like any other ([Context.create] attaches it first): it
+    moves a payload of the declared size over the physical channel after
+    the tally update, which depends on the declared bit count alone, so
+    accounting is bit-identical with and without a transport. An
+    observer attached after the transport therefore sees a send once it
+    has crossed the wire; if the transport raises, later observers do
+    not see the failing send, but the tally has already counted it.
     @raise Invalid_argument on negative counts. *)
 val send : t -> from:Party.t -> bits:int -> unit
 
@@ -43,29 +47,10 @@ val detach : t -> Trace_sink.t -> unit
 (** The attached observers, in attach order. *)
 val observers : t -> Trace_sink.t list
 
-(** Attach (or with [None] detach) the physical channel behind {!send}:
-    the callback receives every send after accounting and is expected to
-    move a payload of the declared size over a real transport. At most
-    one wire at a time.
-    @raise Invalid_argument if a wire is already attached. *)
-val set_wire : t -> (from:Party.t -> bits:int -> unit) option -> unit
-
-(** Attach (or with [None] detach) the protocol state machine consulted
-    by {!send} before each wired send: the outgoing message's kind is
-    derived from the current protocol span and checked against the
-    machine's legality table, so out-of-phase traffic is caught at the
-    source as a typed [Protocol_schema.Protocol_violation]. No-op for
-    unwired (pure accounting) channels. Attached together with the wire
-    by [Context.create]. *)
-val set_schema : t -> Protocol_schema.t option -> unit
-
-(** The attached state machine, if any. *)
-val schema : t -> Protocol_schema.t option
-
 val tally : t -> tally
 
 (** Overwrite the counters with an absolute tally, e.g. one captured in a
-    checkpoint. Observers and the wire do not fire — this is state
+    checkpoint. Observers do not fire — this is state
     restoration, not traffic. *)
 val restore : t -> tally -> unit
 val diff : tally -> tally -> tally

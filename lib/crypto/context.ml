@@ -47,70 +47,65 @@ type t = {
       (** the innermost span name ([with_span] maintains it even when no
           observer is attached) — names the protocol phase in [Cancelled]
           and [Supervision_error] *)
-  schema : Protocol_schema.t option;
-      (** the protocol state machine guarding the attached transport
-          ([None] without one): [with_span] drives its phase tracking,
-          [Comm.send] consults it pre-send, and the wire validates every
-          received payload against it *)
 }
 
 (** Bump a typed primitive counter: always added to the context's running
-    totals, announced to the attached observers, and mirrored into the
-    metrics registry when metrics are enabled. The one counter path:
+    totals and announced to the attached observers. The one counter path:
     batch items never bump, their callers account them. *)
 let bump t counter n =
   let i = Trace_sink.counter_index counter in
   t.counters.(i) <- t.counters.(i) + n;
-  (match Comm.observers t.comm with
+  match Comm.observers t.comm with
   | [] -> ()
-  | os -> List.iter (fun o -> o.Trace_sink.bump counter n) os);
-  Trace_sink.registry_bump counter n
+  | os -> List.iter (fun o -> o.Trace_sink.bump counter n) os
 
-(* With a transport attached, every [Comm.send] moves a payload of the
-   declared size over the real channel. The payload content is a fixed
-   filler — the protocol itself is simulated in-process, so only the
-   transfer's size, framing, and fate (delivered / retried / failed) are
-   meaningful — and the tally never depends on it, so accounted
+(* The transport as an observer of the channel. Span events drive the
+   protocol state machine's phase stack, and every send moves a payload
+   of the declared size over the real channel. The payload content is a
+   fixed filler — the protocol itself is simulated in-process, so only
+   the transfer's size, framing, and fate (delivered / retried / failed)
+   are meaningful — and the tally never depends on it, so accounted
    communication stays bit-identical to the simulated path.
 
    Each payload travels inside a typed [Envelope] tagged with the message
-   kind the current protocol span implies, chunked at [Envelope.max_body]
-   so no single frame exceeds the receive-side acceptance cap. The
-   delivered payload is validated against the schema — version, kind,
-   declared and actual lengths, phase legality — so a Byzantine peer
-   mutating bitwise-intact frames surfaces as a typed
+   kind the innermost span implies, checked against the current phase
+   before anything is sent and chunked at [Envelope.max_body] so no
+   single frame exceeds the receive-side acceptance cap. The delivered
+   payload is validated against the schema — version, kind, declared and
+   actual lengths, phase legality — so a Byzantine peer mutating
+   bitwise-intact frames surfaces as a typed
    [Protocol_schema.Protocol_violation], not as silent acceptance. *)
-let wire_of ~schema transport =
-  fun ~from ~bits ->
+let transport_observer t transport : Trace_sink.t =
+  let schema = Protocol_schema.create () in
+  let send ~from ~bits =
+    let kind = Protocol_schema.check_send schema ~label:t.current_label ~bits in
     let dir =
       match (from : Party.t) with
       | Alice -> Secyan_net.Transport.Alice_to_bob
       | Bob -> Secyan_net.Transport.Bob_to_alice
     in
-    match schema with
-    | None ->
-        let payload = Bytes.make ((bits + 7) / 8) '\xa5' in
-        ignore (Secyan_net.Resilient.transfer transport ~dir payload : Bytes.t)
-    | Some s ->
-        let kind = Protocol_schema.outgoing_kind s in
-        let total = (bits + 7) / 8 in
-        let max_body = Secyan_net.Envelope.max_body in
-        let chunks = max 1 ((total + max_body - 1) / max_body) in
-        for c = 0 to chunks - 1 do
-          let body_len = min max_body (total - (c * max_body)) in
-          let body = Bytes.make (max body_len 0) '\xa5' in
-          let msg = Secyan_net.Envelope.encode ~kind body in
-          let echoed = Secyan_net.Resilient.transfer transport ~dir msg in
-          Protocol_schema.validate s ~kind ~expect_body:(Bytes.length body) echoed
-        done
+    let total = (bits + 7) / 8 in
+    let max_body = Secyan_net.Envelope.max_body in
+    let chunks = max 1 ((total + max_body - 1) / max_body) in
+    for c = 0 to chunks - 1 do
+      let body_len = min max_body (total - (c * max_body)) in
+      let body = Bytes.make (max body_len 0) '\xa5' in
+      let msg = Secyan_net.Envelope.encode ~kind body in
+      let echoed = Secyan_net.Resilient.transfer transport ~dir msg in
+      Protocol_schema.validate schema ~kind ~expect_body:(Bytes.length body) echoed
+    done
+  in
+  {
+    Trace_sink.noop with
+    enter = Protocol_schema.enter schema;
+    exit = (fun () -> Protocol_schema.leave schema);
+    send;
+  }
 
 let create ?(bits = 32) ?(gc_backend = Sim) ?(domains = 1) ?transport ?checkpoint
     ?cancel ?supervisor ~seed () =
   let master = Prg.create seed in
   let cancel = match cancel with Some c -> c | None -> Deadline.never () in
-  let schema =
-    match transport with None -> None | Some _ -> Some (Protocol_schema.create ())
-  in
   let t =
     {
       comm = Comm.create ();
@@ -126,15 +121,15 @@ let create ?(bits = 32) ?(gc_backend = Sim) ?(domains = 1) ?transport ?checkpoin
       cancel;
       supervisor;
       current_label = "init";
-      schema;
     }
   in
   (match transport with
   | None -> ()
   | Some tr ->
       Secyan_net.Resilient.set_cancel tr (Some cancel);
-      Comm.set_wire t.comm (Some (wire_of ~schema tr));
-      Comm.set_schema t.comm schema;
+      (* Attached first, so every observer added later sees a send
+         after it has crossed the wire. *)
+      Comm.attach t.comm (transport_observer t tr);
       (* Resilience events surface as typed counters of whatever
          observers are attached when they fire, so tracers attached later
          still see them. *)
@@ -180,11 +175,10 @@ let set_cancel t cancel =
 let check_cancel t = Deadline.check ~where:t.current_label t.cancel
 
 (* Close a span opened by [with_span]: the observers that saw it open see
-   it close, then the schema and the label are restored. Top-level so the
-   untraced path allocates no closure. *)
+   it close, then the label is restored. Top-level so the untraced path
+   allocates no closure. *)
 let leave_span t os prev =
   (match os with [] -> () | os -> List.iter (fun o -> o.Trace_sink.exit ()) os);
-  (match t.schema with None -> () | Some s -> Protocol_schema.leave s);
   t.current_label <- prev
 
 (** Run [f] inside a span named [name], announced to the attached
@@ -196,9 +190,6 @@ let leave_span t os prev =
 let with_span t name f =
   let prev = t.current_label in
   t.current_label <- name;
-  (* The protocol state machine tracks phases by the same span discipline
-     the label does — entered here, restored on every exit path. *)
-  (match t.schema with None -> () | Some s -> Protocol_schema.enter s name);
   let os = Comm.observers t.comm in
   (match os with [] -> () | os -> List.iter (fun o -> o.Trace_sink.enter name) os);
   match f () with
@@ -228,11 +219,3 @@ let prg_of t = function
   | Party.Bob -> t.prg_bob
 
 let ring_bits t = Zn.bits t.ring
-
-(** Snapshot-and-measure helper: runs [f] and returns its result with the
-    communication it generated. *)
-let measured t f =
-  let before = Comm.tally t.comm in
-  let result = f () in
-  let after = Comm.tally t.comm in
-  (result, Comm.diff after before)

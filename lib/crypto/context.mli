@@ -43,21 +43,18 @@ type t = {
   mutable current_label : string;
       (** innermost span name, maintained by {!with_span} even untraced;
           names the phase in cancellation/supervision errors *)
-  schema : Protocol_schema.t option;
-      (** the protocol state machine guarding the attached transport
-          ([None] without one): {!with_span} drives its phase tracking,
-          [Comm.send] consults it pre-send, and the wire validates every
-          received payload against it, raising the typed
-          [Protocol_schema.Protocol_violation] on out-of-schema peer
-          traffic *)
 }
 
 (** Defaults match the paper's evaluation: bits = 32 annotation ring,
     simulated GC backend, [domains = 1] (fully sequential). [domains > 1]
     parallelizes the GC batch entry points with bit-identical results,
     communication, and rounds (see DESIGN.md §9). [transport] attaches a real framed channel
-    behind [Comm.send] (see DESIGN.md §10): every declared transfer then
-    physically crosses it with timeout/retry protection, resilience
+    as the first observer of [comm] (see DESIGN.md §10): every declared
+    transfer then physically crosses it with timeout/retry protection,
+    inside a typed envelope the protocol state machine checks before the
+    send and validates on the echo (raising the typed
+    [Protocol_schema.Protocol_violation] on out-of-schema traffic);
+    observers attached later see each send after it crossed. Resilience
     events surface as the [Retries]/[Timeouts]/[Frames_corrupted] trace
     counters, and unrecoverable faults raise
     [Secyan_net.Resilient.Transport_error] out of the protocol phase.
@@ -115,8 +112,9 @@ val check_cancel : t -> unit
 val with_span : t -> string -> (unit -> 'a) -> 'a
 
 (** Bump a typed primitive counter: always added to the context's running
-    totals, announced to the attached observers, and mirrored into the
-    metrics registry when it is enabled. The only counter path. *)
+    totals and announced to the attached observers. The only counter
+    path; the metrics registry reads the totals at export (see
+    [Secyan_obs.Profile.publish_counters]). *)
 val bump : t -> Trace_sink.counter -> int -> unit
 
 (** A copy of the context's counter totals (index with
@@ -128,7 +126,3 @@ val counter_totals : t -> int array
     happened, in the run being resumed.
     @raise Invalid_argument on a wrong-length array. *)
 val restore_counters : t -> int array -> unit
-
-(** Run [f] and return its result together with the communication it
-    generated. *)
-val measured : t -> (unit -> 'a) -> 'a * Comm.tally

@@ -22,9 +22,6 @@ let ot_sender_bits ~msg_bits = 2 * msg_bits
 (** Evaluator input = one OT of wire labels. *)
 let evaluator_input_ot ~kappa = (ot_receiver_bits ~kappa, ot_sender_bits ~msg_bits:kappa)
 
-(** Output decode information for one output bit. *)
-let output_decode_bits = 1
-
 (** Boolean-to-arithmetic conversion of one [bits]-wide word (ABY B2A via
     correlated OT: one OT of a [bits]-wide correction per bit). *)
 let b2a_word_bits ~kappa ~bits = bits * (ot_receiver_bits ~kappa + ot_sender_bits ~msg_bits:bits)

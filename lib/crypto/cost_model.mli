@@ -18,8 +18,6 @@ val ot_sender_bits : msg_bits:int -> int
 (** One evaluator input = one OT of wire labels: (receiver, sender) bits. *)
 val evaluator_input_ot : kappa:int -> int * int
 
-val output_decode_bits : int
-
 (** Boolean-to-arithmetic conversion of one [bits]-wide word. *)
 val b2a_word_bits : kappa:int -> bits:int -> int
 

@@ -39,8 +39,6 @@ module Label = struct
   let random_delta prg =
     let l = random prg in
     { l with lo = Int64.logor l.lo 1L }
-
-  let cond_xor cond a b = if cond then xor a b else a
 end
 
 (* Unaligned native-endian int64 access into the label planes. The layout

@@ -32,8 +32,6 @@ module Label : sig
 
   (** Free-XOR global offset, color bit forced to 1. *)
   val random_delta : Prg.t -> t
-
-  val cond_xor : bool -> t -> t -> t
 end
 
 (** Per-domain scratch arena for the garble/eval planes: grown

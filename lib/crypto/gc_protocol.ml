@@ -433,13 +433,15 @@ let map_batch ctx ~n ~and_gates (f : item -> int -> 'a) : 'a array =
     results
   end
 
-(** Evaluate the same circuit over a batch of same-shaped input lists; each
-    output word of each item becomes a fresh arithmetic share. Constant
-    rounds for the whole batch. *)
-let eval_to_shares_batch ctx ~(items : input list array) ~build : Secret_share.t array array =
+(* The prologue both batch entry points share: open the span [span],
+   build the circuit from item 0's shape, encode every item's input bits,
+   check that every item has that shape, account the batch's executions
+   and its first two rounds, then run [k] on the circuit and the bits
+   inside the span. An empty batch costs nothing. *)
+let with_batch ctx ~span ~entry ~(items : input list array) ~build k =
   if Array.length items = 0 then [||]
   else
-    Context.with_span ctx "gc:shares" @@ fun () ->
+    Context.with_span ctx span @@ fun () ->
     let bc = build_circuit ctx ~inputs:items.(0) ~build in
     let all_bits = Array.map (bits_of_inputs ctx) items in
     Array.iter
@@ -447,24 +449,32 @@ let eval_to_shares_batch ctx ~(items : input list array) ~build : Secret_share.t
         if Array.length bits <> Array.length all_bits.(0) then
           invalid_arg
             (Printf.sprintf
-               "Gc_protocol.eval_to_shares_batch: item with %d input bits in a batch \
-                whose first item has %d (all items must share the circuit shape)"
-               (Array.length bits)
+               "Gc_protocol.%s: item with %d input bits in a batch whose first item has \
+                %d (all items must share the circuit shape)"
+               entry (Array.length bits)
                (Array.length all_bits.(0))))
       all_bits;
     account_executions ctx bc all_bits.(0) ~times:(Array.length items);
     Comm.bump_rounds ctx.Context.comm 2;
-    let backend = ctx.Context.gc_backend in
-    let results =
-      map_batch ctx ~n:(Array.length items) ~and_gates:(Boolean_circuit.and_count bc.circuit)
-        (fun it i ->
-          let out_bits = run_with backend it bc all_bits.(i) in
-          let words = slice_outputs bc.output_widths out_bits in
-          Array.of_list (List.map (b2a it) words))
-    in
-    account_b2a ctx bc.output_widths ~times:(Array.length items);
-    Comm.bump_rounds ctx.Context.comm 1;
-    results
+    k bc all_bits
+
+(** Evaluate the same circuit over a batch of same-shaped input lists; each
+    output word of each item becomes a fresh arithmetic share. Constant
+    rounds for the whole batch. *)
+let eval_to_shares_batch ctx ~items ~build : Secret_share.t array array =
+  with_batch ctx ~span:"gc:shares" ~entry:"eval_to_shares_batch" ~items ~build
+  @@ fun bc all_bits ->
+  let backend = ctx.Context.gc_backend in
+  let results =
+    map_batch ctx ~n:(Array.length items) ~and_gates:(Boolean_circuit.and_count bc.circuit)
+      (fun it i ->
+        let out_bits = run_with backend it bc all_bits.(i) in
+        let words = slice_outputs bc.output_widths out_bits in
+        Array.of_list (List.map (b2a it) words))
+  in
+  account_b2a ctx bc.output_widths ~times:(Array.length items);
+  Comm.bump_rounds ctx.Context.comm 1;
+  results
 
 (** Single-item variant. *)
 let eval_to_shares ctx ~inputs ~build : Secret_share.t array =
@@ -474,38 +484,26 @@ let eval_to_shares ctx ~inputs ~build : Secret_share.t array =
 
 (** Evaluate a batch and reveal every output word of every item to [to_]
     only (one decode message, one round). *)
-let eval_reveal_batch ctx ~to_ ~(items : input list array) ~build : int64 array array =
-  if Array.length items = 0 then [||]
-  else
-    Context.with_span ctx "gc:reveal" @@ fun () ->
-    let bc = build_circuit ctx ~inputs:items.(0) ~build in
-    let all_bits = Array.map (bits_of_inputs ctx) items in
-    account_executions ctx bc all_bits.(0) ~times:(Array.length items);
-    Comm.bump_rounds ctx.Context.comm 2;
-    let n_out = Boolean_circuit.n_outputs bc.circuit in
-    Comm.send ctx.Context.comm ~from:(Party.other to_) ~bits:(Array.length items * n_out);
-    Comm.bump_rounds ctx.Context.comm 1;
-    let backend = ctx.Context.gc_backend in
-    map_batch ctx ~n:(Array.length items) ~and_gates:(Boolean_circuit.and_count bc.circuit)
-      (fun it i ->
-        let out_bits = run_with backend it bc all_bits.(i) in
-        let words = slice_outputs bc.output_widths out_bits in
-        Array.of_list
-          (List.map
-             (fun word ->
-               Circuits.int64_of_bool_array
-                 (Array.map (fun bs -> bs.alice_bit <> bs.bob_bit) word))
-             words))
+let eval_reveal_batch ctx ~to_ ~items ~build : int64 array array =
+  with_batch ctx ~span:"gc:reveal" ~entry:"eval_reveal_batch" ~items ~build
+  @@ fun bc all_bits ->
+  let n_out = Boolean_circuit.n_outputs bc.circuit in
+  Comm.send ctx.Context.comm ~from:(Party.other to_) ~bits:(Array.length items * n_out);
+  Comm.bump_rounds ctx.Context.comm 1;
+  let backend = ctx.Context.gc_backend in
+  map_batch ctx ~n:(Array.length items) ~and_gates:(Boolean_circuit.and_count bc.circuit)
+    (fun it i ->
+      let out_bits = run_with backend it bc all_bits.(i) in
+      let words = slice_outputs bc.output_widths out_bits in
+      Array.of_list
+        (List.map
+           (fun word ->
+             Circuits.int64_of_bool_array
+               (Array.map (fun bs -> bs.alice_bit <> bs.bob_bit) word))
+           words))
 
 (** Single-item variant of [eval_reveal_batch]. *)
 let eval_reveal ctx ~to_ ~inputs ~build : int64 array =
   match eval_reveal_batch ctx ~to_ ~items:[| inputs |] ~build with
   | [| values |] -> values
-  | _ -> assert false
-
-(** Convenience: evaluate a circuit whose single output word is an
-    indicator or ring element, returned as one share. *)
-let eval_to_share ctx ~inputs ~build =
-  match eval_to_shares ctx ~inputs ~build:(fun b words -> [ build b words ]) with
-  | [| s |] -> s
   | _ -> assert false

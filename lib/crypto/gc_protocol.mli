@@ -50,7 +50,9 @@ exception
 val inline_and_gates : int
 
 (** Evaluate the same circuit over a batch of same-shaped input lists;
-    every output word of every item becomes a fresh arithmetic share. *)
+    every output word of every item becomes a fresh arithmetic share.
+    @raise Invalid_argument if an item's input bits differ in number from
+    the first item's. *)
 val eval_to_shares_batch :
   Context.t ->
   items:input list array ->
@@ -65,7 +67,9 @@ val eval_to_shares :
   Secret_share.t array
 
 (** Evaluate a batch and reveal every output word of every item to [to_]
-    only. *)
+    only.
+    @raise Invalid_argument if an item's input bits differ in number from
+    the first item's. *)
 val eval_reveal_batch :
   Context.t ->
   to_:Party.t ->
@@ -80,10 +84,3 @@ val eval_reveal :
   inputs:input list ->
   build:(Boolean_circuit.Builder.b -> Circuits.word array -> Circuits.word list) ->
   int64 array
-
-(** Single-input-list, single-output-word convenience. *)
-val eval_to_share :
-  Context.t ->
-  inputs:input list ->
-  build:(Boolean_circuit.Builder.b -> Circuits.word array -> Circuits.word) ->
-  Secret_share.t

@@ -8,19 +8,21 @@
       Unrestricted --"phase:reduce"-->   Reduce        (ot/oprf/psi/oep/gc/op)
       Unrestricted --"phase:semijoin"--> Semijoin      (ot/oprf/psi/oep/gc/op)
       Unrestricted --"phase:join"-->     Join          (reduce set + reveal)
+      Unrestricted --"phase:order"-->    Order         (reduce set + reveal)
       Unrestricted --"reveal"-->         Reveal_phase  (reveal only)
-      (session resume)                   Resume        (hello only)
     v}
 
-    Phase tracking piggybacks on the span discipline the tracing layer
-    already maintains: {!Context.with_span} reports every span enter/exit
-    here, phase-marker labels push a new phase, and all other labels
-    inherit the enclosing one — so exiting a phase span restores its
-    parent, and nested runs (query compositions) are handled by plain
-    stack discipline. The innermost label also classifies what an
-    outgoing message {e is} (a ["psi:*"] span sends PSI traffic), which
-    is what {!Comm.send} consults before any payload crosses the wire and
-    what the receive path checks the peer's envelope against.
+    Phase tracking is driven by observer events: the transport observer
+    [Context.create] attaches to the channel forwards every span
+    enter/exit here, phase-marker labels push a new phase, and all other
+    labels inherit the enclosing one — so exiting a phase span restores
+    its parent, and nested runs (query compositions) are handled by plain
+    stack discipline. The innermost span label (the context's
+    [current_label]) classifies what an outgoing message {e is} (a
+    ["psi:*"] span sends PSI traffic): {!check_send} consults it before
+    any payload crosses the wire, and the receive path checks the peer's
+    envelope against it. [Hello] is legal in no phase: the resume
+    handshake validates its hellos inside [Resilient].
 
     Everything that fails validation raises the typed
     {!Protocol_violation} naming the phase, what was legal, what arrived,
@@ -32,7 +34,6 @@ module Envelope = Secyan_net.Envelope
 
 type phase =
   | Unrestricted
-  | Resume
   | Share_phase
   | Reduce
   | Semijoin
@@ -42,7 +43,6 @@ type phase =
 
 let phase_name = function
   | Unrestricted -> "unrestricted"
-  | Resume -> "resume-handshake"
   | Share_phase -> "share"
   | Reduce -> "reduce"
   | Semijoin -> "semijoin"
@@ -103,8 +103,6 @@ let phase_of_label current l =
 let legal phase (kind : Envelope.kind) =
   match (phase, kind) with
   | Unrestricted, k -> k <> Envelope.Hello
-  | Resume, Envelope.Hello -> true
-  | Resume, _ -> false
   | Share_phase, Envelope.Share -> true
   | Share_phase, _ -> false
   | (Reduce | Semijoin), (Envelope.Psi | Oprf | Oep | Ot | Gc | Op) -> true
@@ -123,43 +121,32 @@ let expected_kinds phase = List.filter (legal phase) Envelope.all_kinds
 let expected_kinds_string phase =
   String.concat "|" (List.map Envelope.kind_name (expected_kinds phase))
 
-type t = {
-  mutable phases : phase list;  (* span-shaped stack; head = current *)
-  mutable labels : string list;  (* parallel label stack; head = innermost *)
-}
+type t = { mutable phases : phase list (* span-shaped stack; head = current *) }
 
-let create () = { phases = []; labels = [] }
+let create () = { phases = [] }
 
 let phase t = match t.phases with [] -> Unrestricted | p :: _ -> p
 
-let label t = match t.labels with [] -> "init" | l :: _ -> l
+let enter t name = t.phases <- phase_of_label (phase t) name :: t.phases
 
-let enter t name =
-  t.phases <- phase_of_label (phase t) name :: t.phases;
-  t.labels <- name :: t.labels
-
-let leave t =
-  (match t.phases with [] -> () | _ :: rest -> t.phases <- rest);
-  match t.labels with [] -> () | _ :: rest -> t.labels <- rest
-
-let outgoing_kind t = kind_of_label (label t)
+let leave t = match t.phases with [] -> () | _ :: rest -> t.phases <- rest
 
 let violation t ~expected ~got ~offset =
   Secyan_metrics.add m_violations 1;
   raise (Protocol_violation { phase = phase_name (phase t); expected; got; offset })
 
-(* Pre-send consultation from [Comm.send]: derive what the outgoing
-   message is from the current span and verify the state machine allows
-   it — a self-check that protocol code cannot emit traffic the receive
-   path would reject. Returns the kind for the wire to tag the envelope
-   with. *)
-let check_send t ~bits =
+(* Pre-send consultation from the transport observer: derive what the
+   outgoing message is from the innermost span [label] and verify the
+   state machine allows it — a self-check that protocol code cannot emit
+   traffic the receive path would reject. Returns the kind for the wire
+   to tag the envelope with. *)
+let check_send t ~label ~bits =
   if bits < 0 then invalid_arg "Protocol_schema.check_send: negative bit count";
-  let kind = outgoing_kind t in
+  let kind = kind_of_label label in
   if not (legal (phase t) kind) then
     violation t
       ~expected:(expected_kinds_string (phase t))
-      ~got:(Printf.sprintf "outgoing %s under span %S" (Envelope.kind_name kind) (label t))
+      ~got:(Printf.sprintf "outgoing %s under span %S" (Envelope.kind_name kind) label)
       ~offset:0;
   kind
 

@@ -1,17 +1,15 @@
 (** Per-query protocol state machine over the typed wire envelope: knows,
     for each phase of secure Yannakakis (share / reduce / semijoin / join
-    / order / reveal / resume-handshake), exactly which message kinds and
-    sizes
-    are legal next, and rejects everything else with the typed
-    {!Protocol_violation} — never an untyped exception escape, never an
-    allocation driven by a lying length field. Phase tracking piggybacks
-    on [Context.with_span]'s span discipline; {!check_send} is consulted
-    by [Comm.send] before any payload crosses the wire, and {!validate}
-    checks everything that arrives. *)
+    / order / reveal), exactly which message kinds and sizes are legal
+    next, and rejects everything else with the typed {!Protocol_violation}
+    — never an untyped exception escape, never an allocation driven by a
+    lying length field. The transport observer that [Context.create]
+    attaches to the channel drives the phase stack from span enter/exit
+    events, consults {!check_send} before any payload crosses the wire,
+    and runs {!validate} on everything that arrives. *)
 
 type phase =
   | Unrestricted
-  | Resume
   | Share_phase
   | Reduce
   | Semijoin
@@ -41,7 +39,8 @@ val kind_of_label : string -> Secyan_net.Envelope.kind
 val phase_of_label : phase -> string -> phase
 
 (** The legality table: which envelope kinds may cross the wire in a
-    phase. [Hello] is legal only during the resume handshake. *)
+    phase. [Hello] is legal in no phase: the resume handshake validates
+    its hellos inside [Resilient]. *)
 val legal : phase -> Secyan_net.Envelope.kind -> bool
 
 val expected_kinds : phase -> Secyan_net.Envelope.kind list
@@ -50,7 +49,9 @@ type t
 
 val create : unit -> t
 
-(** Span bookkeeping, driven by [Context.with_span]. *)
+(** Phase bookkeeping, driven by the transport observer's span events:
+    [enter t label] pushes the phase [label] enters (see
+    {!phase_of_label}), [leave] pops it. *)
 val enter : t -> string -> unit
 
 val leave : t -> unit
@@ -58,16 +59,11 @@ val leave : t -> unit
 (** Current phase ([Unrestricted] outside any phase span). *)
 val phase : t -> phase
 
-(** Innermost span label (["init"] outside any span). *)
-val label : t -> string
-
-(** The kind an outgoing message sent right now would carry. *)
-val outgoing_kind : t -> Secyan_net.Envelope.kind
-
-(** Pre-send consultation from [Comm.send]: derive the outgoing message's
-    kind from the current span and verify the machine allows it.
+(** Pre-send consultation from the transport observer: classify the
+    outgoing message by the innermost span [label] (see {!kind_of_label})
+    and verify the current phase allows it.
     @raise Protocol_violation when the current phase forbids it. *)
-val check_send : t -> bits:int -> Secyan_net.Envelope.kind
+val check_send : t -> label:string -> bits:int -> Secyan_net.Envelope.kind
 
 (** Validate one received payload against the send it answers: a
     current-version envelope of the expected [kind], declaring and

@@ -6,8 +6,12 @@
     [Comm.t] carries a list of observers — records of callbacks — that is
     empty by default. [Context.with_span] announces span boundaries,
     [Context.bump] typed counters, and [Comm.send] / [Comm.bump_rounds]
-    traffic to each attached observer in turn. Untraced runs pay one
-    empty-list match per event and allocate nothing. *)
+    traffic to each attached observer in turn. Everything that watches a
+    run is one of these observers, the real transport included: it is
+    attached first by [Context.create], so observers attached later see a
+    send after it crossed the wire (and, when the transport raises, do
+    not see the failing send at all). Untraced runs pay one empty-list
+    match per event and allocate nothing. *)
 
 (** Typed event counters bumped by the primitives. Semantics:
 
@@ -93,26 +97,6 @@ let counter_help = function
   | Frames_corrupted -> "frames rejected by the transport CRC check"
   | Checkpoints_written -> "durable protocol-state snapshots emitted"
   | Checkpoint_bytes -> "total on-disk bytes of checkpoints"
-
-(* Mirror every typed counter into the process-wide metrics registry
-   (Prometheus convention: monotonic counters end in _total). Interned
-   lazily so processes that never enable metrics allocate nothing. *)
-let registry_counters =
-  (* [all_counters] is in [counter_index] order *)
-  lazy
-    (Array.of_list
-       (List.map
-          (fun c ->
-            Secyan_metrics.counter ~help:(counter_help c)
-              ("secyan_" ^ counter_name c ^ "_total"))
-          all_counters))
-
-(** Forward one counter bump to the metrics registry (no-op when metrics
-    are disabled). [Context.bump], the only counter path, calls this
-    once per bump. *)
-let registry_bump c n =
-  if Secyan_metrics.enabled () then
-    Secyan_metrics.add (Lazy.force registry_counters).(counter_index c) n
 
 type t = {
   enter : string -> unit;  (** a span opens under the active span *)

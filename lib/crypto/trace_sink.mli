@@ -1,8 +1,11 @@
 (** Observer interface between the protocol substrate and an
     observability layer above it: each [Comm.t] carries a list of
     observers (empty by default) that see span boundaries, typed counter
-    bumps, transfers and rounds. Untraced runs cost one empty-list match
-    per event (no allocation). *)
+    bumps, transfers and rounds. The real transport is one of them,
+    attached first by [Context.create]: an observer attached later sees
+    a send after it crossed the wire, and does not see a send the
+    transport failed with a typed error (the tally still counts it).
+    Untraced runs cost one empty-list match per event (no allocation). *)
 
 (** Typed event counters bumped by the primitives:
     AND gates garbled, OTs accounted (GC evaluator inputs and B2A — OEP
@@ -39,14 +42,10 @@ val all_counters : counter list
 (** One-line description of a counter, used as metric help text. *)
 val counter_help : counter -> string
 
-(** Mirror one counter bump into the [Secyan_metrics] registry as
-    [secyan_<name>_total] (no-op while metrics are disabled). Called by
-    [Context.bump], the only counter path, once per bump. *)
-val registry_bump : counter -> int -> unit
-
 (** An observer of one run. Build one as [{ noop with ... }] and attach
     it with [Comm.attach]; every callback runs on the domain that drives
-    the context. *)
+    the context. A callback may raise: the event then stops there, and
+    the observers after it do not see it. *)
 type t = {
   enter : string -> unit;  (** a span opens under the active span *)
   exit : unit -> unit;     (** the active span closes *)

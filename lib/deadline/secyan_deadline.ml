@@ -28,8 +28,6 @@ let reason_to_string = function
         used_mb budget_mb
   | User msg -> Printf.sprintf "cancelled: %s" msg
 
-let pp_reason ppf r = Format.pp_print_string ppf (reason_to_string r)
-
 (* --- saturating ns arithmetic ------------------------------------------ *)
 
 let sat_add_ns a b =

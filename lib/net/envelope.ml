@@ -63,8 +63,9 @@ let version = 1
 let header_len = 6
 
 (* Hard cap on one envelope body (4 MiB). Larger logical messages are
-   chunked by the sender (see [Context.wire_of]); a declared length above
-   the cap is a protocol violation, rejected before allocation. *)
+   chunked by the sender (see [Context.transport_observer]); a declared
+   length above the cap is a protocol violation, rejected before
+   allocation. *)
 let max_body = 1 lsl 22
 
 (* Handshake hellos are tiny (a session id, an epoch, a version); a

@@ -7,8 +7,6 @@
 
 type format = Pretty | Jsonl | Prometheus
 
-let format_name = function Pretty -> "pretty" | Jsonl -> "jsonl" | Prometheus -> "prometheus"
-
 (* --- helpers --------------------------------------------------------- *)
 
 (* Upper bound of the bucket holding quantile [q] — the usual

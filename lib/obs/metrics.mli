@@ -8,8 +8,6 @@ type format =
   | Jsonl        (** one JSON object per metric per line *)
   | Prometheus   (** Prometheus text exposition format *)
 
-val format_name : format -> string
-
 (** Bucket-upper-bound estimate of quantile [q] (in [0,1]); [+inf] when
     the quantile falls in the overflow bucket, [0.] on an empty
     histogram. *)

@@ -5,9 +5,9 @@
     into JSON (so BENCH files carry them).
 
     The GC sampler is an observer ({!Trace_sink.t}) of the context's
-    channel: every time a phase-level span opens ([phase:*] or [reveal] —
-    the names {!Secyan.Secure_yannakakis} uses), it cuts a
-    [Gc.quick_stat] delta and attributes it to the phase that just ended.
+    channel: every time a phase-level span opens ({!is_phase_name}), it
+    cuts a [Gc.quick_stat] delta and attributes it to the phase that just
+    ended.
     It composes with any other observers, in any attach order. *)
 
 open Secyan_crypto
@@ -36,7 +36,8 @@ type gc_sampler = {
 }
 
 let is_phase_name name =
-  String.length name >= 6 && String.sub name 0 6 = "phase:" || name = "reveal"
+  Protocol_schema.phase_of_label Protocol_schema.Unrestricted name
+  <> Protocol_schema.Unrestricted
 
 let cut s next_phase =
   let now_stat = Gc.quick_stat () in
@@ -119,6 +120,20 @@ let publish_pool_timelines ?(labels = "") pool =
         (float_of_int tl.Domain_pool.wakeups))
     (Domain_pool.timelines pool)
 
+(** Publish the context's primitive counter totals as the registry
+    counters [secyan_<counter>_total]. The totals are read once, at
+    export: the registry never mirrors a bump. Call once per export of a
+    freshly enabled registry (the counters add). *)
+let publish_counters ctx =
+  let totals = Context.counter_totals ctx in
+  List.iter
+    (fun c ->
+      Secyan_metrics.add
+        (Secyan_metrics.counter ~help:(Trace_sink.counter_help c)
+           ("secyan_" ^ Trace_sink.counter_name c ^ "_total"))
+        totals.(Trace_sink.counter_index c))
+    Trace_sink.all_counters
+
 (** Publish GC phase samples as labelled gauges
     ([secyan_gc_phase_minor_words{phase="phase:reduce"}], ...). *)
 let publish_gc_phases phases =
@@ -157,20 +172,4 @@ let timeline_json (tl : Domain_pool.timeline_snapshot) =
       ("batches", Json.Int tl.batches);
       ("items", Json.Int tl.items);
       ("wakeups", Json.Int tl.wakeups);
-    ]
-
-let timelines_json pool =
-  Json.List (List.map timeline_json (Domain_pool.timelines pool))
-
-let gc_phase_json p =
-  Json.Obj
-    [
-      ("phase", Json.Str p.phase);
-      ("seconds", Json.Float p.seconds);
-      ("minor_words", Json.Float p.minor_words);
-      ("promoted_words", Json.Float p.promoted_words);
-      ("major_words", Json.Float p.major_words);
-      ("minor_collections", Json.Int p.minor_collections);
-      ("major_collections", Json.Int p.major_collections);
-      ("compactions", Json.Int p.compactions);
     ]

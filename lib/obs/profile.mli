@@ -17,16 +17,17 @@ type gc_phase = {
   compactions : int;
 }
 
-(** Whether a span name marks a protocol phase boundary ([phase:*] or
-    [reveal] — the names {!Secyan.Secure_yannakakis} emits). *)
+(** Whether a span name marks a protocol phase boundary: a phase marker
+    of {!Protocol_schema.phase_of_label} ([phase:share] ... [phase:order]
+    or [reveal] — the names {!Secyan.Secure_yannakakis} emits). *)
 val is_phase_name : string -> bool
 
 type gc_sampler
 
 (** Start sampling GC activity per protocol phase on [ctx], as an
-    observer of its channel that cuts a delta whenever a [phase:*] or
-    [reveal] span opens. Work before the first phase is attributed to
-    ["setup"]. Composes with other observers in any attach order. *)
+    observer of its channel that cuts a delta whenever a span
+    {!is_phase_name} accepts opens. Work before the first phase is
+    attributed to ["setup"]. Composes with other observers in any attach order. *)
 val attach_gc_sampler : Context.t -> gc_sampler
 
 (** Detach the observer, close the open phase (as ["done"]), and return
@@ -38,10 +39,13 @@ val detach_gc_sampler : gc_sampler -> gc_phase list
     extra Prometheus labels (e.g. [{|pool="4"|}]). *)
 val publish_pool_timelines : ?labels:string -> Domain_pool.t -> unit
 
+(** Publish the context's counter totals ({!Context.counter_totals}) as
+    the registry counters [secyan_<counter>_total]. Counters add, so call
+    it once per export; nothing else records into them. *)
+val publish_counters : Context.t -> unit
+
 (** Publish GC phase samples as labelled gauges
     ([secyan_gc_phase_minor_words{phase="phase:reduce"}], ...). *)
 val publish_gc_phases : gc_phase list -> unit
 
 val timeline_json : Domain_pool.timeline_snapshot -> Json.t
-val timelines_json : Domain_pool.t -> Json.t
-val gc_phase_json : gc_phase -> Json.t

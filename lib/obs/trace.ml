@@ -100,15 +100,12 @@ let with_tracing ?name ctx f =
       ignore (finish t : Span.t);
       raise e
 
-(** Open a span around [f] on whatever tracer is attached to [ctx]
-    (no-op untraced). Re-export of {!Context.with_span} so protocol code
-    above the crypto layer has one obvious entry point. *)
-let with_span = Context.with_span
-
 (** Run [f] and return its result together with its wall-clock seconds
     and the communication it generated — the one-stop replacement for
     hand-rolled [Unix.gettimeofday] + [Comm.diff] bracketing. *)
 let measure ctx f =
+  let before = Comm.tally ctx.Context.comm in
   let t0 = Unix.gettimeofday () in
-  let result, delta = Context.measured ctx f in
-  (result, Unix.gettimeofday () -. t0, delta)
+  let result = f () in
+  let seconds = Unix.gettimeofday () -. t0 in
+  (result, seconds, Comm.diff (Comm.tally ctx.Context.comm) before)

@@ -38,12 +38,6 @@ val finish : t -> Span.t
     after detaching). *)
 val with_tracing : ?name:string -> Context.t -> (unit -> 'a) -> 'a * Span.t
 
-(** [with_span ctx name f] opens a span around [f] on whatever tracer is
-    attached to [ctx]; free when untraced. Re-export of
-    {!Context.with_span} as the one obvious entry point for protocol
-    code above the crypto layer. *)
-val with_span : Context.t -> string -> (unit -> 'a) -> 'a
-
 (** [measure ctx f] runs [f] and returns [(result, wall_seconds,
     comm_delta)] — the one-stop replacement for hand-rolled
     [Unix.gettimeofday] + [Comm.diff] bracketing. Works with or without

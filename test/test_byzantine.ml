@@ -165,8 +165,6 @@ let test_legality_table () =
     [
       (P.Unrestricted, Envelope.Psi, true);
       (P.Unrestricted, Envelope.Hello, false);
-      (P.Resume, Envelope.Hello, true);
-      (P.Resume, Envelope.Share, false);
       (P.Share_phase, Envelope.Share, true);
       (P.Share_phase, Envelope.Psi, false);
       (P.Share_phase, Envelope.Reveal, false);
@@ -178,6 +176,9 @@ let test_legality_table () =
       (P.Join, Envelope.Reveal, true);
       (P.Join, Envelope.Gc, true);
       (P.Join, Envelope.Hello, false);
+      (P.Order, Envelope.Gc, true);
+      (P.Order, Envelope.Reveal, true);
+      (P.Order, Envelope.Share, false);
       (P.Reveal_phase, Envelope.Reveal, true);
       (P.Reveal_phase, Envelope.Gc, false);
     ]
@@ -187,19 +188,25 @@ let test_legality_table () =
       Alcotest.(check bool)
         (Printf.sprintf "%s/%s" (P.phase_name phase) (Envelope.kind_name kind))
         want (P.legal phase kind))
-    cases
+    cases;
+  (* the resume handshake validates hellos inside the transport: no
+     protocol phase admits one *)
+  List.iter
+    (fun phase ->
+      Alcotest.(check bool) (P.phase_name phase ^ "/hello") false (P.legal phase Envelope.Hello))
+    [ P.Unrestricted; P.Share_phase; P.Reduce; P.Semijoin; P.Join; P.Order; P.Reveal_phase ]
 
 let test_check_send_violation () =
   let s = Protocol_schema.create () in
   Protocol_schema.enter s "phase:share";
   Protocol_schema.enter s "share:orders";
-  (match Protocol_schema.check_send s ~bits:8 with
+  (match Protocol_schema.check_send s ~label:"share:orders" ~bits:8 with
   | k -> Alcotest.(check string) "share is legal" "share" (Envelope.kind_name k)
   | exception Protocol_schema.Protocol_violation _ ->
       Alcotest.fail "legal send must pass");
   (* a reveal attempted during share distribution is a violation *)
   Protocol_schema.enter s "reveal:orders";
-  match Protocol_schema.check_send s ~bits:8 with
+  match Protocol_schema.check_send s ~label:"reveal:orders" ~bits:8 with
   | _ -> Alcotest.fail "reveal during share must be refused"
   | exception Protocol_schema.Protocol_violation { phase; got; _ } ->
       Alcotest.(check string) "phase" "share" phase;

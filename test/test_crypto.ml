@@ -400,6 +400,30 @@ let test_gc_reveal () =
       Alcotest.check check_i64 "100-42 revealed" 58L got.(0))
     [ ctx_real (); ctx_sim () ]
 
+(* Both batch entry points share one prologue, so both refuse a batch
+   whose items do not share item 0's circuit shape — before any item
+   runs, on either backend. *)
+let test_gc_batch_shape_mismatch () =
+  let items =
+    [|
+      [ Gc_protocol.Priv { owner = Party.Alice; value = 3L; bits = 8 } ];
+      [ Gc_protocol.Priv { owner = Party.Alice; value = 3L; bits = 16 } ];
+    |]
+  in
+  let build _ words = [ words.(0) ] in
+  List.iter
+    (fun (backend, ctx) ->
+      let rejects name f =
+        match f () with
+        | _ -> Alcotest.failf "%s (%s): a wider second item must be rejected" name backend
+        | exception Invalid_argument _ -> ()
+      in
+      rejects "reveal batch" (fun () ->
+          ignore (Gc_protocol.eval_reveal_batch ctx ~to_:Party.Bob ~items ~build));
+      rejects "shares batch" (fun () ->
+          ignore (Gc_protocol.eval_to_shares_batch ctx ~items ~build)))
+    [ ("real", ctx_real ()); ("sim", ctx_sim ()) ]
+
 let gc_random_agreement =
   QCheck.Test.make ~count:50 ~name:"gc real/sim agree on random mul-add"
     QCheck.(triple (int_bound 10000) (int_bound 10000) (int_bound 10000))
@@ -1525,15 +1549,23 @@ let test_comm_observers () =
   (* the tally kept counting regardless of observers *)
   Alcotest.(check int) "tally still complete" 14 (Comm.tally c).Comm.alice_to_bob_bits
 
-let raises_invalid f =
-  match f () with () -> false | exception Invalid_argument _ -> true
-
-let test_comm_wire_exclusive () =
+(* An observer that raises stops the event there: the observers after it
+   do not see it, but the tally has already counted it. This is how a
+   transport failure surfaces to observers attached after the transport. *)
+let test_comm_raising_observer_stops_event () =
   let c = Comm.create () in
-  Comm.set_wire c (Some (fun ~from:_ ~bits:_ -> ()));
-  Alcotest.(check bool) "second wire rejected" true
-    (raises_invalid (fun () -> Comm.set_wire c (Some (fun ~from:_ ~bits:_ -> ()))));
-  Comm.set_wire c None
+  let seen = ref 0 in
+  Comm.attach c
+    { Trace_sink.noop with send = (fun ~from:_ ~bits -> if bits > 8 then failwith "wire down") };
+  Comm.attach c { Trace_sink.noop with send = (fun ~from:_ ~bits:_ -> incr seen) };
+  Comm.send c ~from:Party.Alice ~bits:8;
+  Alcotest.(check int) "a delivered send reaches the later observer" 1 !seen;
+  (match Comm.send c ~from:Party.Bob ~bits:16 with
+  | () -> Alcotest.fail "the raising observer must propagate"
+  | exception Failure _ -> ());
+  Alcotest.(check int) "the failed send is not announced after the raiser" 1 !seen;
+  Alcotest.(check (pair int int)) "the tally counted both sends" (8, 16)
+    ((Comm.tally c).Comm.alice_to_bob_bits, (Comm.tally c).Comm.bob_to_alice_bits)
 
 let test_comm_observer_detach_during_send () =
   let c = Comm.create () in
@@ -1602,7 +1634,8 @@ let () =
           Alcotest.test_case "negative send rejected" `Quick test_comm_send_negative;
           Alcotest.test_case "tally arithmetic" `Quick test_comm_tally_arithmetic;
           Alcotest.test_case "listeners" `Quick test_comm_observers;
-          Alcotest.test_case "listener exclusivity" `Quick test_comm_wire_exclusive;
+          Alcotest.test_case "raising observer stops the event" `Quick
+            test_comm_raising_observer_stops_event;
           Alcotest.test_case "listener detach during send" `Quick
             test_comm_observer_detach_during_send;
         ] );
@@ -1654,6 +1687,7 @@ let () =
           Alcotest.test_case "reveal" `Quick test_gc_reveal;
           Alcotest.test_case "real/sim backend agreement" `Quick test_gc_real_sim_agreement;
           Alcotest.test_case "batch values pinned" `Quick test_gc_batch_pinned;
+          Alcotest.test_case "batch shape mismatch" `Quick test_gc_batch_shape_mismatch;
         ]
         @ qsuite [ gc_random_agreement ] );
       ( "domain-pool",

@@ -1,6 +1,6 @@
 (* Tests for the metrics layer: the lock-striped registry (lib/metrics),
-   merge-on-read correctness across pool sizes, the registry mirror of
-   the protocol counters, the exporters, the live progress reporter, and
+   merge-on-read correctness across pool sizes, the export-time publish
+   of the protocol counters, the exporters, the live progress reporter, and
    the BENCH regression differ. The registry is a process-wide
    singleton, so every test uses uniquely-named metrics and restores the
    enable flag it found. *)
@@ -117,60 +117,71 @@ let test_merge_bit_identical () =
   Secyan_metrics.reset ()
 
 (* ------------------------------------------------------------------ *)
-(* Registry mirror of the protocol counters *)
+(* Export-time publish of the protocol counters *)
 
-let test_context_bump_mirrors () =
+let counter_value name =
+  match find_sample name with
+  | None -> 0
+  | Some { Secyan_metrics.value = Secyan_metrics.Counter n; _ } -> n
+  | Some _ -> Alcotest.failf "%s is not a counter" name
+
+(* Bumps stay in the context; the registry learns the totals only when
+   they are published at export. *)
+let test_counters_published_at_export () =
   with_metrics @@ fun () ->
   Secyan_metrics.reset ();
   let ctx = Context.create ~seed () in
   Context.bump ctx Trace_sink.And_gates 5;
   Context.bump ctx Trace_sink.And_gates 7;
   Context.bump ctx Trace_sink.Ots 2;
-  (match (get_sample "secyan_and_gates_total").Secyan_metrics.value with
-  | Secyan_metrics.Counter n -> Alcotest.(check int) "and_gates mirrored" 12 n
-  | _ -> Alcotest.fail "expected a counter");
-  match (get_sample "secyan_ots_total").Secyan_metrics.value with
-  | Secyan_metrics.Counter n -> Alcotest.(check int) "ots mirrored" 2 n
-  | _ -> Alcotest.fail "expected a counter"
+  Alcotest.(check int) "a bump records nothing in the registry" 0
+    (counter_value "secyan_and_gates_total");
+  Profile.publish_counters ctx;
+  Alcotest.(check int) "and_gates published" 12 (counter_value "secyan_and_gates_total");
+  Alcotest.(check int) "ots published" 2 (counter_value "secyan_ots_total");
+  Alcotest.(check int) "every counter is published" 0 (counter_value "secyan_retries_total")
 
-(* A parallel batch must mirror each unit of work exactly once: the item
-   contexts mirror as they bump, and the merge into the owning context
-   must not mirror again. *)
-let test_parallel_batch_no_double_count () =
+(* A batch fanned out over the pool publishes the same totals as the same
+   batch run on one domain: items never bump, the caller accounts the
+   batch once, and the registry reads only the context's totals. *)
+let test_parallel_batch_published_once () =
   with_metrics @@ fun () ->
-  Secyan_metrics.reset ();
-  let ctx = Context.create ~gc_backend:Context.Real ~domains:2 ~seed () in
-  let inp = Prg.create 5L in
-  (* wide enough (993 AND gates per item) to fan out over the workers *)
-  let items =
-    Array.init ((Gc_protocol.inline_and_gates / 993) + 1) (fun _ ->
-        [
-          Gc_protocol.Priv { owner = Party.Alice; value = Prg.bits inp 16; bits = 32 };
-          Gc_protocol.Priv { owner = Party.Bob; value = Prg.bits inp 16; bits = 32 };
-        ])
+  let published domains =
+    Secyan_metrics.reset ();
+    let ctx = Context.create ~gc_backend:Context.Real ~domains ~seed () in
+    let inp = Prg.create 5L in
+    (* wide enough (993 AND gates per item) to fan out over the workers *)
+    let items =
+      Array.init ((Gc_protocol.inline_and_gates / 993) + 1) (fun _ ->
+          [
+            Gc_protocol.Priv { owner = Party.Alice; value = Prg.bits inp 16; bits = 32 };
+            Gc_protocol.Priv { owner = Party.Bob; value = Prg.bits inp 16; bits = 32 };
+          ])
+    in
+    let build b words = [ Circuits.mul_word b words.(0) words.(1) ] in
+    let _ = Gc_protocol.eval_to_shares_batch ctx ~items ~build in
+    if domains > 1 then
+      Alcotest.(check bool) "a worker slot ran items" true
+        (List.exists
+           (fun tl -> tl.Domain_pool.domain > 0 && tl.Domain_pool.items > 0)
+           (Domain_pool.timelines (Context.pool ctx)));
+    Context.shutdown_pool ctx;
+    Profile.publish_counters ctx;
+    let totals = Context.counter_totals ctx in
+    List.map
+      (fun c ->
+        let name = "secyan_" ^ Trace_sink.counter_name c ^ "_total" in
+        Alcotest.(check int) (name ^ " = context total")
+          totals.(Trace_sink.counter_index c) (counter_value name);
+        counter_value name)
+      Trace_sink.all_counters
   in
-  let build b words = [ Circuits.mul_word b words.(0) words.(1) ] in
-  let _ = Gc_protocol.eval_to_shares_batch ctx ~items ~build in
-  let totals = Context.counter_totals ctx in
+  let parallel = published 2 in
   Alcotest.(check bool) "the batch exceeds the inline bound" true
-    (totals.(Trace_sink.counter_index Trace_sink.And_gates) >= Gc_protocol.inline_and_gates);
-  Alcotest.(check bool) "a worker slot ran items" true
-    (List.exists
-       (fun tl -> tl.Domain_pool.domain > 0 && tl.Domain_pool.items > 0)
-       (Domain_pool.timelines (Context.pool ctx)));
-  Context.shutdown_pool ctx;
-  let mirrored name =
-    match (get_sample name).Secyan_metrics.value with
-    | Secyan_metrics.Counter n -> n
-    | _ -> Alcotest.fail "expected a counter"
-  in
-  Alcotest.(check int) "and_gates mirrored once"
-    totals.(Trace_sink.counter_index Trace_sink.And_gates)
-    (mirrored "secyan_and_gates_total");
-  Alcotest.(check int) "ots mirrored once"
-    totals.(Trace_sink.counter_index Trace_sink.Ots)
-    (mirrored "secyan_ots_total")
+    (List.hd parallel >= Gc_protocol.inline_and_gates);
+  Alcotest.(check (list int)) "same totals as one domain" (published 1) parallel
 
+(* ------------------------------------------------------------------ *)
 (* Per-item allocation observability (DESIGN.md §14): every batch item
    records its minor/major word delta, at any pool size, and turning the
    histograms on must not perturb the results. *)
@@ -572,9 +583,10 @@ let () =
       ( "merge",
         [
           Alcotest.test_case "bit-identical across pool sizes" `Quick test_merge_bit_identical;
-          Alcotest.test_case "context bump mirrors" `Quick test_context_bump_mirrors;
-          Alcotest.test_case "parallel batch no double count" `Quick
-            test_parallel_batch_no_double_count;
+          Alcotest.test_case "counters published at export" `Quick
+            test_counters_published_at_export;
+          Alcotest.test_case "parallel batch published once" `Quick
+            test_parallel_batch_published_once;
           Alcotest.test_case "batch allocation histograms" `Quick
             test_batch_alloc_words_histograms;
         ] );

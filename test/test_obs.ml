@@ -155,24 +155,26 @@ let test_untraced_identical () =
   Alcotest.check check_tally "same tally" s_plain.Secyan.Secure_yannakakis.tally
     s_traced.Secyan.Secure_yannakakis.tally
 
+(* A span tree's shape: per-span path, traffic, sends and counters in
+   visit order — everything but the durations. *)
+let shape root =
+  let acc = ref [] in
+  Span.iter
+    (fun ~depth ~path span ->
+      acc :=
+        (depth, path, Span.self_tally span, span.Span.self_sends,
+         Array.to_list span.Span.self_counters)
+        :: !acc)
+    root;
+  List.rev !acc
+
 let test_traced_parallel_identical () =
   (* A traced parallel run must produce the same span tree as a traced
      sequential run — same structure, per-span traffic, rounds, and
-     primitive counters; only durations may differ. The GC batch engine
-     merges each worker's privately accumulated deltas into the tracer
-     exactly once per batch, so sums match bit-for-bit. *)
+     primitive counters; only durations may differ. Batch items never
+     reach the channel or the counters: the calling domain accounts each
+     batch once, so sums match bit-for-bit. *)
   let d = dataset () in
-  let shape root =
-    let acc = ref [] in
-    Span.iter
-      (fun ~depth ~path span ->
-        acc :=
-          (depth, path, Span.self_tally span, span.Span.self_sends,
-           Array.to_list span.Span.self_counters)
-          :: !acc)
-      root;
-    List.rev !acc
-  in
   let run domains =
     let q = Secyan_tpch.Queries.q3 d in
     let ctx = Secyan_tpch.Queries.context ~domains ~seed () in
@@ -186,6 +188,31 @@ let test_traced_parallel_identical () =
   let r2, t2 = run 2 in
   Alcotest.check Answer.testable "same result rows" r1 r2;
   Alcotest.(check bool) "same span tree (traffic and counters)" true (t1 = t2)
+
+(* The transport is one observer of the channel among others: a tracer
+   attached after it sees every send once it has crossed the wire, so a
+   transported Q3 at preset xs yields the untransported span tree, and
+   its root accounts exactly the channel's tally. *)
+let test_traced_transport_identical () =
+  let d = Secyan_tpch.Datagen.generate ~sf:(Secyan_tpch.Datagen.preset_sf "xs") ~seed in
+  let q = Secyan_tpch.Queries.q3 d in
+  let run transport =
+    let ctx = Secyan_tpch.Queries.context ?transport ~seed () in
+    let (revealed, _), root =
+      Trace.with_tracing ~name:"q3" ctx (fun () -> Secyan.Secure_yannakakis.run ctx q)
+    in
+    Alcotest.check check_tally "root tally = channel tally" (Comm.tally ctx.Context.comm)
+      (Span.tally root);
+    Context.close_transport ctx;
+    (Secyan.Query.revealed_answer q revealed, shape root)
+  in
+  let tr = Secyan_net.Resilient.create (Secyan_net.Transport.inproc ()) in
+  let r_wire, t_wire = run (Some tr) in
+  Alcotest.(check bool) "payloads crossed the wire" true
+    ((Secyan_net.Resilient.stats tr).Secyan_net.Resilient.transfers > 0);
+  let r_sim, t_sim = run None in
+  Alcotest.check Answer.testable "same result rows" r_sim r_wire;
+  Alcotest.(check bool) "same span tree (names, traffic and counters)" true (t_sim = t_wire)
 
 let test_noop_sink_is_default () =
   let ctx = Context.create ~seed () in
@@ -385,6 +412,8 @@ let () =
         [
           Alcotest.test_case "tracing changes nothing" `Quick test_untraced_identical;
           Alcotest.test_case "parallel trace identical" `Quick test_traced_parallel_identical;
+          Alcotest.test_case "transported trace identical" `Quick
+            test_traced_transport_identical;
           Alcotest.test_case "noop sink default" `Quick test_noop_sink_is_default;
           Alcotest.test_case "untraced events allocate nothing" `Quick
             test_untraced_events_allocate_nothing;
