@@ -378,7 +378,7 @@ let micro () =
     let b = Bb.create () in
     let x = Circuits.input_word b 32 and y = Circuits.input_word b 32 in
     let out = Circuits.mul_word b x y in
-    Bb.finalize b ~outputs:(Circuits.materialize_word b 0 out)
+    Bb.finalize b ~outputs:out
   in
   let garble_prg = Prg.create 2L in
   let tests =
@@ -494,7 +494,7 @@ let gc_perf () =
     let b = Bb.create () in
     let x = Circuits.input_word b 32 and y = Circuits.input_word b 32 in
     let out = Circuits.mul_word b x y in
-    Bb.finalize b ~outputs:(Circuits.materialize_word b 0 out)
+    Bb.finalize b ~outputs:out
   in
   let ands = Boolean_circuit.and_count circuit in
   let garble_prg = Prg.create 2L in

@@ -127,7 +127,7 @@ let project_nonzero ctx semiring (sr : Shared_relation.t) ~attrs : Shared_relati
       let one_w = Circuits.const_word ~bits:sbits (Semiring.one semiring) in
       let zero_w = Circuits.const_word ~bits:sbits 0L in
       List.map
-        (fun bit -> Circuits.materialize_word b 0 (Circuits.mux_word b ~sel:bit one_w zero_w))
+        (fun bit -> Circuits.mux_word b ~sel:bit one_w zero_w)
         (Array.to_list outs)
     in
     let out_annots = Gc_protocol.eval_to_shares ctx ~inputs ~build in

@@ -1,16 +1,17 @@
 (** Boolean circuits consumed by the garbled-circuit protocol: AND / XOR /
     NOT gates only, so with free-XOR garbling the AND count is the cost
-    figure. Input wires occupy ids [0 .. n_inputs-1]; gate [i] defines
-    wire [n_inputs + i]. *)
+    figure. Input wires occupy ids [0 .. n_inputs-1]; gate [g] defines
+    wire [n_inputs + g]. The gates are flat arrays — gate [g] is
+    [op.(g)] over wires [lhs.(g)] and [rhs.(g)] ([rhs.(g) = lhs.(g)] for
+    [Not]) — written by the {!Builder} in this final order. *)
 
-type gate =
-  | And of int * int
-  | Xor of int * int
-  | Not of int
+type op = And | Xor | Not
 
 type t = {
   n_inputs : int;
-  gates : gate array;
+  op : op array;
+  lhs : int array;
+  rhs : int array;
   outputs : int array;
   and_count : int;
 }
@@ -24,17 +25,19 @@ val n_outputs : t -> int
 val eval : t -> bool array -> bool array
 
 (** Circuit builder with constant folding (constants never become
-    wires). Gates are stored in growable arrays — builders routinely hold
-    millions of gates. *)
+    wires). Every input is declared before the first gate, so each gate
+    is written once, in growable arrays, under its final wire id —
+    builders routinely hold millions of gates. *)
 module Builder : sig
-  (** A builder value: a known constant, or a wire id. *)
-  type value = Const of bool | Wire of int
+  (** A builder value: a wire id or a folded constant. *)
+  type value
 
   type b
 
   val create : unit -> b
 
-  (** A fresh input wire. *)
+  (** A fresh input wire.
+      @raise Invalid_argument once a gate has been added. *)
   val input : b -> value
 
   val inputs : b -> int -> value array
@@ -49,13 +52,11 @@ module Builder : sig
   (** [mux b ~sel x y] = if sel then x else y; one AND gate. *)
   val mux : b -> sel:value -> value -> value -> value
 
-  (** Force a possibly-constant value onto a real wire ([anchor] is any
-      existing input wire id); required before using it as an output. *)
-  val materialize : b -> int -> value -> value
+  (** Freeze the builder: trim its gate arrays. A constant output is put
+      on a fresh [0 XOR 0] gate (plus a [Not] for true), in output order,
+      so every output is a wire.
 
-  (** Freeze the builder: inputs are remapped to the front in creation
-      order, gates keep their (topological) creation order.
-
-      @raise Invalid_argument if an output is still a folded constant. *)
+      @raise Invalid_argument on a constant output of a circuit without
+      inputs. *)
   val finalize : b -> outputs:value array -> t
 end

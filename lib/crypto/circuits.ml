@@ -28,9 +28,6 @@ let int64_of_bool_array bits_arr =
 let xor_word b (x : word) (y : word) : word =
   Array.init (width x) (fun i -> bxor b x.(i) y.(i))
 
-(** AND every bit of [x] with the single bit [bit]. *)
-let gate_word b bit (x : word) : word = Array.map (fun xi -> band b bit xi) x
-
 let not_word b (x : word) : word = Array.map (bnot b) x
 
 (** Ripple-carry addition modulo 2^n; carry chain uses one AND per bit:
@@ -116,22 +113,4 @@ let divmod_word b (x : word) (y : word) : word * word =
 let div_word b x y = fst (divmod_word b x y)
 
 (** Conditional word: sel ? x : 0. One AND per bit. *)
-let zero_unless b sel (x : word) : word = gate_word b sel x
-
-(** Sum a list of words modulo 2^n (balanced tree keeps depth low;
-    gate count is the same either way). *)
-let rec sum_words b = function
-  | [] -> invalid_arg "Circuits.sum_words: empty word list (expected at least one addend)"
-  | [ w ] -> w
-  | words ->
-      let rec pair = function
-        | [] -> []
-        | [ w ] -> [ w ]
-        | w1 :: w2 :: rest -> add_word b w1 w2 :: pair rest
-      in
-      sum_words b (pair words)
-
-(** Materialize every bit of a word onto real wires (used before finalize
-    when a word may contain folded constants). [anchor] is any input wire. *)
-let materialize_word b anchor (x : word) : word =
-  Array.map (fun v -> materialize b anchor v) x
+let zero_unless b sel (x : word) : word = Array.map (fun xi -> band b sel xi) x

@@ -195,51 +195,51 @@ let garble ?arena prg circuit =
     set64u wires ((16 * i) + 8) (Prg.next_int64 prg)
   done;
   let and_idx = ref 0 in
-  Array.iteri
-    (fun i gate ->
-      let out = 16 * (circuit.n_inputs + i) in
-      match gate with
-      | Xor (x, y) ->
-          set64u wires out (Int64.logxor (get64u wires (16 * x)) (get64u wires (16 * y)));
-          set64u wires (out + 8)
-            (Int64.logxor (get64u wires ((16 * x) + 8)) (get64u wires ((16 * y) + 8)))
-      | Not x ->
-          set64u wires out (Int64.logxor (get64u wires (16 * x)) delta_hi);
-          set64u wires (out + 8) (Int64.logxor (get64u wires ((16 * x) + 8)) delta_lo)
-      | And (x, y) ->
-          let k = !and_idx in
-          let j = 2 * k in
-          let ax = 16 * x and by = 16 * y in
-          let wa0_hi = get64u wires ax and wa0_lo = get64u wires (ax + 8) in
-          let wb0_lo = get64u wires (by + 8) in
-          let pa = Int64.to_int wa0_lo land 1 = 1 in
-          let pb = Int64.to_int wb0_lo land 1 = 1 in
-          (* one kernel call: ha0 = H(j, wa0), ha1 = H(j, wa0 ^ delta),
-             hb0 = H(j + 1, wb0), hb1 = H(j + 1, wb0 ^ delta) *)
-          Label_hash.hash4 wires ax by ~tweak:j scratch;
-          let ha0_hi = get64u scratch 0 and ha0_lo = get64u scratch 8 in
-          let ha1_hi = get64u scratch 16 and ha1_lo = get64u scratch 24 in
-          let tg_hi = Int64.logxor ha0_hi ha1_hi and tg_lo = Int64.logxor ha0_lo ha1_lo in
-          let tg_hi = if pb then Int64.logxor tg_hi delta_hi else tg_hi in
-          let tg_lo = if pb then Int64.logxor tg_lo delta_lo else tg_lo in
-          let wg0_hi = if pa then Int64.logxor ha0_hi tg_hi else ha0_hi in
-          let wg0_lo = if pa then Int64.logxor ha0_lo tg_lo else ha0_lo in
-          (* evaluator half-gate from hb0 and hb1 *)
-          let hb0_hi = get64u scratch 32 and hb0_lo = get64u scratch 40 in
-          let hb1_hi = get64u scratch 48 and hb1_lo = get64u scratch 56 in
-          let te_hi = Int64.logxor (Int64.logxor hb0_hi hb1_hi) wa0_hi in
-          let te_lo = Int64.logxor (Int64.logxor hb0_lo hb1_lo) wa0_lo in
-          let we0_hi = if pb then Int64.logxor hb0_hi (Int64.logxor te_hi wa0_hi) else hb0_hi in
-          let we0_lo = if pb then Int64.logxor hb0_lo (Int64.logxor te_lo wa0_lo) else hb0_lo in
-          set64u wires out (Int64.logxor wg0_hi we0_hi);
-          set64u wires (out + 8) (Int64.logxor wg0_lo we0_lo);
-          let tk = 32 * k in
-          set64u tables tk tg_hi;
-          set64u tables (tk + 8) tg_lo;
-          set64u tables (tk + 16) te_hi;
-          set64u tables (tk + 24) te_lo;
-          incr and_idx)
-    circuit.gates;
+  for i = 0 to n_gates circuit - 1 do
+    let out = 16 * (circuit.n_inputs + i) in
+    let x = circuit.lhs.(i) and y = circuit.rhs.(i) in
+    match circuit.op.(i) with
+    | Xor ->
+        set64u wires out (Int64.logxor (get64u wires (16 * x)) (get64u wires (16 * y)));
+        set64u wires (out + 8)
+          (Int64.logxor (get64u wires ((16 * x) + 8)) (get64u wires ((16 * y) + 8)))
+    | Not ->
+        set64u wires out (Int64.logxor (get64u wires (16 * x)) delta_hi);
+        set64u wires (out + 8) (Int64.logxor (get64u wires ((16 * x) + 8)) delta_lo)
+    | And ->
+        let k = !and_idx in
+        let j = 2 * k in
+        let ax = 16 * x and by = 16 * y in
+        let wa0_hi = get64u wires ax and wa0_lo = get64u wires (ax + 8) in
+        let wb0_lo = get64u wires (by + 8) in
+        let pa = Int64.to_int wa0_lo land 1 = 1 in
+        let pb = Int64.to_int wb0_lo land 1 = 1 in
+        (* one kernel call: ha0 = H(j, wa0), ha1 = H(j, wa0 ^ delta),
+           hb0 = H(j + 1, wb0), hb1 = H(j + 1, wb0 ^ delta) *)
+        Label_hash.hash4 wires ax by ~tweak:j scratch;
+        let ha0_hi = get64u scratch 0 and ha0_lo = get64u scratch 8 in
+        let ha1_hi = get64u scratch 16 and ha1_lo = get64u scratch 24 in
+        let tg_hi = Int64.logxor ha0_hi ha1_hi and tg_lo = Int64.logxor ha0_lo ha1_lo in
+        let tg_hi = if pb then Int64.logxor tg_hi delta_hi else tg_hi in
+        let tg_lo = if pb then Int64.logxor tg_lo delta_lo else tg_lo in
+        let wg0_hi = if pa then Int64.logxor ha0_hi tg_hi else ha0_hi in
+        let wg0_lo = if pa then Int64.logxor ha0_lo tg_lo else ha0_lo in
+        (* evaluator half-gate from hb0 and hb1 *)
+        let hb0_hi = get64u scratch 32 and hb0_lo = get64u scratch 40 in
+        let hb1_hi = get64u scratch 48 and hb1_lo = get64u scratch 56 in
+        let te_hi = Int64.logxor (Int64.logxor hb0_hi hb1_hi) wa0_hi in
+        let te_lo = Int64.logxor (Int64.logxor hb0_lo hb1_lo) wa0_lo in
+        let we0_hi = if pb then Int64.logxor hb0_hi (Int64.logxor te_hi wa0_hi) else hb0_hi in
+        let we0_lo = if pb then Int64.logxor hb0_lo (Int64.logxor te_lo wa0_lo) else hb0_lo in
+        set64u wires out (Int64.logxor wg0_hi we0_hi);
+        set64u wires (out + 8) (Int64.logxor wg0_lo we0_lo);
+        let tk = 32 * k in
+        set64u tables tk tg_hi;
+        set64u tables (tk + 8) tg_lo;
+        set64u tables (tk + 16) te_hi;
+        set64u tables (tk + 24) te_lo;
+        incr and_idx
+  done;
   Array.iteri
     (fun oi w ->
       Bytes.unsafe_set decode oi
@@ -272,44 +272,44 @@ let eval_plane g (wires : Bytes.t) (scratch : Bytes.t) =
   let circuit = g.circuit in
   let tables = g.tables in
   let and_idx = ref 0 in
-  Array.iteri
-    (fun i gate ->
-      let out = 16 * (circuit.n_inputs + i) in
-      match gate with
-      | Xor (x, y) ->
-          set64u wires out (Int64.logxor (get64u wires (16 * x)) (get64u wires (16 * y)));
-          set64u wires (out + 8)
-            (Int64.logxor (get64u wires ((16 * x) + 8)) (get64u wires ((16 * y) + 8)))
-      | Not x ->
-          (* NOT is free: same label, decoded with flipped semantics via
-             the garbler's false-label offset (handled in [garble]). *)
-          set64u wires out (get64u wires (16 * x));
-          set64u wires (out + 8) (get64u wires ((16 * x) + 8))
-      | And (x, y) ->
-          let k = !and_idx in
-          let ax = 16 * x and by = 16 * y in
-          let wa_hi = get64u wires ax and wa_lo = get64u wires (ax + 8) in
-          let sa = Int64.to_int wa_lo land 1 = 1 in
-          let sb = Int64.to_int (get64u wires (by + 8)) land 1 = 1 in
-          let tk = 32 * k in
-          (* one kernel call: ha = H(2k, wa), hb = H(2k + 1, wb) *)
-          Label_hash.hash2 wires ax by ~tweak:(2 * k) scratch;
-          let ha_hi = get64u scratch 0 and ha_lo = get64u scratch 8 in
-          let wg_hi = if sa then Int64.logxor ha_hi (get64u tables tk) else ha_hi in
-          let wg_lo = if sa then Int64.logxor ha_lo (get64u tables (tk + 8)) else ha_lo in
-          let hb_hi = get64u scratch 16 and hb_lo = get64u scratch 24 in
-          let we_hi =
-            if sb then Int64.logxor hb_hi (Int64.logxor (get64u tables (tk + 16)) wa_hi)
-            else hb_hi
-          in
-          let we_lo =
-            if sb then Int64.logxor hb_lo (Int64.logxor (get64u tables (tk + 24)) wa_lo)
-            else hb_lo
-          in
-          set64u wires out (Int64.logxor wg_hi we_hi);
-          set64u wires (out + 8) (Int64.logxor wg_lo we_lo);
-          incr and_idx)
-    circuit.gates
+  for i = 0 to n_gates circuit - 1 do
+    let out = 16 * (circuit.n_inputs + i) in
+    let x = circuit.lhs.(i) and y = circuit.rhs.(i) in
+    match circuit.op.(i) with
+    | Xor ->
+        set64u wires out (Int64.logxor (get64u wires (16 * x)) (get64u wires (16 * y)));
+        set64u wires (out + 8)
+          (Int64.logxor (get64u wires ((16 * x) + 8)) (get64u wires ((16 * y) + 8)))
+    | Not ->
+        (* NOT is free: same label, decoded with flipped semantics via
+           the garbler's false-label offset (handled in [garble]). *)
+        set64u wires out (get64u wires (16 * x));
+        set64u wires (out + 8) (get64u wires ((16 * x) + 8))
+    | And ->
+        let k = !and_idx in
+        let ax = 16 * x and by = 16 * y in
+        let wa_hi = get64u wires ax and wa_lo = get64u wires (ax + 8) in
+        let sa = Int64.to_int wa_lo land 1 = 1 in
+        let sb = Int64.to_int (get64u wires (by + 8)) land 1 = 1 in
+        let tk = 32 * k in
+        (* one kernel call: ha = H(2k, wa), hb = H(2k + 1, wb) *)
+        Label_hash.hash2 wires ax by ~tweak:(2 * k) scratch;
+        let ha_hi = get64u scratch 0 and ha_lo = get64u scratch 8 in
+        let wg_hi = if sa then Int64.logxor ha_hi (get64u tables tk) else ha_hi in
+        let wg_lo = if sa then Int64.logxor ha_lo (get64u tables (tk + 8)) else ha_lo in
+        let hb_hi = get64u scratch 16 and hb_lo = get64u scratch 24 in
+        let we_hi =
+          if sb then Int64.logxor hb_hi (Int64.logxor (get64u tables (tk + 16)) wa_hi)
+          else hb_hi
+        in
+        let we_lo =
+          if sb then Int64.logxor hb_lo (Int64.logxor (get64u tables (tk + 24)) wa_lo)
+          else hb_lo
+        in
+        set64u wires out (Int64.logxor wg_hi we_hi);
+        set64u wires (out + 8) (Int64.logxor wg_lo we_lo);
+        incr and_idx
+  done
 
 (** Evaluate on active labels; returns the active label of each output.
     With [?arena] the

@@ -37,74 +37,96 @@ type input =
       (** an arithmetically shared ring element; the circuit sees its
           reconstruction (one adder is prepended) *)
 
+(* An input's part of the circuit's shape: a private word of [owner],
+   [bits] wires wide, or a shared ring element (one ring-wide word per
+   party). Every item of a batch must have item 0's layout. *)
+type slot = Priv_word of Party.t * int | Shared_word
+
+let slot_of = function
+  | Priv { owner; bits; _ } -> Priv_word (owner, bits)
+  | Shared _ -> Shared_word
+
 type built = {
   circuit : Boolean_circuit.t;
   output_widths : int list;
+  layout : slot list;
+  n_bob_inputs : int;  (** input wires Bob owns; Alice owns the rest *)
 }
 
 (* Everything one batch item may touch: its own randomness (Alice's
    garbling stream and the dealer's) and the ring. *)
 type item = { mutable ring : Zn.t; prg_alice : Prg.t; dealer : Prg.t }
 
-(* The (owner, bit) assignment for every input wire of a circuit built from
-   [inputs], in wire order. *)
-let bits_of_inputs ctx inputs : (Party.t * bool) array =
+(* The value of every input wire of [bc] for an item of its layout, in
+   wire order. *)
+let bits_of_inputs ctx bc inputs : bool array =
   let ring_bits = Context.ring_bits ctx in
-  let buf = ref [] in
-  let push owner value bits =
-    for i = 0 to bits - 1 do
-      buf := (owner, Int64.logand (Int64.shift_right_logical value i) 1L = 1L) :: !buf
-    done
+  let bits = Array.make bc.circuit.Boolean_circuit.n_inputs false in
+  let pos = ref 0 in
+  let push value width =
+    for i = 0 to width - 1 do
+      bits.(!pos + i) <- Int64.logand (Int64.shift_right_logical value i) 1L = 1L
+    done;
+    pos := !pos + width
   in
   List.iter
     (fun input ->
       match input with
-      | Priv { owner; value; bits } -> push owner value bits
+      | Priv { value; bits; _ } -> push value bits
       | Shared s ->
-          push Party.Alice s.Secret_share.a ring_bits;
-          push Party.Bob s.Secret_share.b ring_bits)
+          push s.Secret_share.a ring_bits;
+          push s.Secret_share.b ring_bits)
     inputs;
-  Array.of_list (List.rev !buf)
+  bits
 
 (* Assemble the circuit from the *shape* of [inputs] (widths and kinds;
-   the values are supplied separately at evaluation time). *)
+   the values are supplied separately at evaluation time). Every input
+   word is declared before the first gate; the [Shared] adders follow. *)
 let build_circuit ctx ~inputs ~build =
   let module Bb = Boolean_circuit.Builder in
   let b = Bb.create () in
   let ring_bits = Context.ring_bits ctx in
-  let words =
+  let declared =
     List.map
       (fun input ->
         match input with
-        | Priv { bits; _ } -> Circuits.input_word b bits
+        | Priv { bits; _ } -> (Circuits.input_word b bits, None)
         | Shared _ ->
             let wa = Circuits.input_word b ring_bits in
-            let wb = Circuits.input_word b ring_bits in
-            Circuits.add_word b wa wb)
+            (wa, Some (Circuits.input_word b ring_bits)))
       inputs
+  in
+  let words =
+    List.map
+      (fun (w, share_b) ->
+        match share_b with None -> w | Some wb -> Circuits.add_word b w wb)
+      declared
   in
   let out_words = build b (Array.of_list words) in
   if out_words = [] then
     invalid_arg "Gc_protocol.build_circuit: the builder returned no output words (expected \
                  at least one)";
-  let anchor = 0 (* input wire 0 exists: every use has at least one input *) in
-  let out_words = List.map (Circuits.materialize_word b anchor) out_words in
-  let outputs = Array.concat (List.map Array.copy out_words) in
-  let circuit = Bb.finalize b ~outputs in
-  { circuit; output_widths = List.map Array.length out_words }
+  let circuit = Bb.finalize b ~outputs:(Array.concat out_words) in
+  let layout = List.map slot_of inputs in
+  let n_bob_inputs =
+    List.fold_left
+      (fun acc slot ->
+        match slot with
+        | Priv_word (Party.Bob, w) -> acc + w
+        | Shared_word -> acc + ring_bits
+        | Priv_word (Party.Alice, _) -> acc)
+      0 layout
+  in
+  { circuit; output_widths = List.map Array.length out_words; layout; n_bob_inputs }
 
 (* Account the transfer costs of executing the circuit [times] times:
    garbled tables, garbler input labels, evaluator input OTs. Rounds are
    bumped separately, once per batch. *)
-let account_executions ctx (bc : built) (sample_bits : (Party.t * bool) array) ~times =
+let account_executions ctx (bc : built) ~times =
   let kappa = Context.kappa in
   let comm = ctx.Context.comm in
-  let n_bob_inputs =
-    Array.fold_left
-      (fun acc (owner, _) -> if Party.equal owner Party.Bob then acc + 1 else acc)
-      0 sample_bits
-  in
-  let n_alice_inputs = Array.length sample_bits - n_bob_inputs in
+  let n_bob_inputs = bc.n_bob_inputs in
+  let n_alice_inputs = bc.circuit.Boolean_circuit.n_inputs - n_bob_inputs in
   Context.bump ctx Trace_sink.Gc_circuits times;
   Context.bump ctx Trace_sink.And_gates (times * Boolean_circuit.and_count bc.circuit);
   Context.bump ctx Trace_sink.Ots (times * n_bob_inputs);
@@ -122,7 +144,7 @@ let account_executions ctx (bc : built) (sample_bits : (Party.t * bool) array) ~
    XOR of the two is the cleartext bit. *)
 type bool_share = { alice_bit : bool; bob_bit : bool }
 
-let run_real (it : item) (bc : built) (input_bits : (Party.t * bool) array) : bool_share array =
+let run_real (it : item) (bc : built) (input_bits : bool array) : bool_share array =
   (* The executing domain's arena: garble writes its planes there and
      eval reuses them in place, so the whole item runs without per-gate
      or per-wire allocation; the planes are recycled by the next item on
@@ -132,14 +154,14 @@ let run_real (it : item) (bc : built) (input_bits : (Party.t * bool) array) : bo
   (* Bob's labels arrive via OT (accounted by the caller); functionally he
      receives exactly the label of his input bit — selecting the active
      label per input below is that exchange, collapsed into the plane. *)
-  let colors = Garbling.eval_colors ~arena g (fun i -> snd input_bits.(i)) in
+  let colors = Garbling.eval_colors ~arena g (Array.get input_bits) in
   Array.init
     (Boolean_circuit.n_outputs bc.circuit)
     (fun i ->
       { alice_bit = Garbling.decode_bit g i; bob_bit = Bytes.get colors i = '\001' })
 
-let run_sim (it : item) (bc : built) (input_bits : (Party.t * bool) array) : bool_share array =
-  let clear = Boolean_circuit.eval bc.circuit (Array.map snd input_bits) in
+let run_sim (it : item) (bc : built) (input_bits : bool array) : bool_share array =
+  let clear = Boolean_circuit.eval bc.circuit input_bits in
   (* Fresh random Boolean sharing of each output bit. *)
   Array.map
     (fun bit ->
@@ -434,27 +456,26 @@ let map_batch ctx ~n ~and_gates (f : item -> int -> 'a) : 'a array =
   end
 
 (* The prologue both batch entry points share: open the span [span],
-   build the circuit from item 0's shape, encode every item's input bits,
-   check that every item has that shape, account the batch's executions
-   and its first two rounds, then run [k] on the circuit and the bits
-   inside the span. An empty batch costs nothing. *)
+   build the circuit from item 0's shape, check that every item has that
+   input layout, encode every item's input bits, account the batch's
+   executions and its first two rounds, then run [k] on the circuit and
+   the bits inside the span. An empty batch costs nothing. *)
 let with_batch ctx ~span ~entry ~(items : input list array) ~build k =
   if Array.length items = 0 then [||]
   else
     Context.with_span ctx span @@ fun () ->
     let bc = build_circuit ctx ~inputs:items.(0) ~build in
-    let all_bits = Array.map (bits_of_inputs ctx) items in
-    Array.iter
-      (fun bits ->
-        if Array.length bits <> Array.length all_bits.(0) then
+    Array.iteri
+      (fun i inputs ->
+        if List.map slot_of inputs <> bc.layout then
           invalid_arg
             (Printf.sprintf
-               "Gc_protocol.%s: item with %d input bits in a batch whose first item has \
-                %d (all items must share the circuit shape)"
-               entry (Array.length bits)
-               (Array.length all_bits.(0))))
-      all_bits;
-    account_executions ctx bc all_bits.(0) ~times:(Array.length items);
+               "Gc_protocol.%s: item %d's inputs differ in kind, owner or width from the \
+                first item's (all items must share the circuit shape)"
+               entry i))
+      items;
+    let all_bits = Array.map (bits_of_inputs ctx bc) items in
+    account_executions ctx bc ~times:(Array.length items);
     Comm.bump_rounds ctx.Context.comm 2;
     k bc all_bits
 

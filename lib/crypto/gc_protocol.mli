@@ -51,8 +51,8 @@ val inline_and_gates : int
 
 (** Evaluate the same circuit over a batch of same-shaped input lists;
     every output word of every item becomes a fresh arithmetic share.
-    @raise Invalid_argument if an item's input bits differ in number from
-    the first item's. *)
+    @raise Invalid_argument if an item's inputs differ in kind, owner or
+    width from the first item's. *)
 val eval_to_shares_batch :
   Context.t ->
   items:input list array ->
@@ -68,8 +68,8 @@ val eval_to_shares :
 
 (** Evaluate a batch and reveal every output word of every item to [to_]
     only.
-    @raise Invalid_argument if an item's input bits differ in number from
-    the first item's. *)
+    @raise Invalid_argument if an item's inputs differ in kind, owner or
+    width from the first item's. *)
 val eval_reveal_batch :
   Context.t ->
   to_:Party.t ->

@@ -153,16 +153,3 @@ let apply_shared ctx ~holder ~xi ~m (values : Secret_share.t array) : Secret_sha
       let v = Secret_share.reconstruct ctx values.(src) in
       Secret_share.fresh_of_value ctx v)
     xi
-
-(** Variant of §5.4's base case: the data vector is held in clear by
-    [data_holder] (e.g. Bob's payload list); output is shared. *)
-let apply_clear_input ctx ~holder ~xi ~m (values : int64 array) : Secret_share.t array =
-  ignore (holder : Party.t);
-  if Array.length values <> m then
-    invalid_arg
-      (Printf.sprintf "Oep.apply_clear_input: %d input values, expected m = %d"
-         (Array.length values) m);
-  Context.with_span ctx "oep:clear" @@ fun () ->
-  let prog = program ~m xi in
-  account ctx prog;
-  Array.map (fun src -> Secret_share.fresh_of_value ctx values.(src)) xi

@@ -28,8 +28,3 @@ val apply_shared :
   m:int ->
   Secret_share.t array ->
   Secret_share.t array
-
-(** Variant for a vector held in clear by one party (§5.4's base case);
-    output is shared. *)
-val apply_clear_input :
-  Context.t -> holder:Party.t -> xi:int array -> m:int -> int64 array -> Secret_share.t array

@@ -7,7 +7,7 @@
 
     The record exposes both shares because both simulated parties live in
     one process. Protocol code accesses a party's share only through
-    [share_of], and reconstruction outside of [reveal_to]/[open_both] is
+    [share_of], and reconstruction outside of [reveal_to]/[reveal_batch] is
     reserved for the "ideal functionality" inside simulated primitives and
     for tests. *)
 
@@ -55,14 +55,6 @@ let reveal_batch ctx receiver shares =
     ~bits:(Array.length shares * Zn.bits ring);
   Comm.bump_rounds ctx.comm 1;
   Array.map (fun t -> Zn.add ring t.a t.b) shares
-
-(** Reveal to both parties (each sends its share to the other). *)
-let open_both ctx t =
-  let ring = ctx.Context.ring in
-  Comm.send ctx.comm ~from:Party.Alice ~bits:(Zn.bits ring);
-  Comm.send ctx.comm ~from:Party.Bob ~bits:(Zn.bits ring);
-  Comm.bump_rounds ctx.comm 1;
-  Zn.add ring t.a t.b
 
 (* Linear operations: local, no communication. *)
 

@@ -27,9 +27,6 @@ val reveal_to : Context.t -> Party.t -> t -> int64
 (** Batched reveal: one message, one round, regardless of batch size. *)
 val reveal_batch : Context.t -> Party.t -> t array -> int64 array
 
-(** Reveal to both parties (one round, l bits each way). *)
-val open_both : Context.t -> t -> int64
-
 (** {2 Linear operations} — local, zero communication. *)
 
 val add : Context.t -> t -> t -> t

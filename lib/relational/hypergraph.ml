@@ -20,9 +20,6 @@ let create edges =
 
 let edge ~label attrs = { label; attrs = Schema.of_list attrs }
 
-let vertices t =
-  List.fold_left (fun acc e -> Schema.union acc e.attrs) (Schema.of_list []) t.edges
-
 let find t label = List.find (fun e -> String.equal e.label label) t.edges
 
 (** GYO reduction: repeatedly (1) remove attributes occurring in exactly

@@ -116,7 +116,7 @@ let row_and_gates (q : Secyan.Query.t) =
          q.Secyan.Query.inputs)
   in
   let out = build_row_circuit q b words in
-  let circuit = Bb.finalize b ~outputs:(Circuits.materialize_word b 0 out) in
+  let circuit = Bb.finalize b ~outputs:out in
   Boolean_circuit.and_count circuit
 
 (** Default calibration: measured on this machine by [calibrate]. *)

@@ -54,51 +54,51 @@ let garble prg circuit =
   let table_e_hi = Array.make circuit.and_count 0L in
   let table_e_lo = Array.make circuit.and_count 0L in
   let and_idx = ref 0 in
-  Array.iteri
-    (fun i gate ->
-      let out = circuit.n_inputs + i in
-      match gate with
-      | Xor (x, y) ->
-          hi.(out) <- Int64.logxor hi.(x) hi.(y);
-          lo.(out) <- Int64.logxor lo.(x) lo.(y)
-      | Not x ->
-          hi.(out) <- Int64.logxor hi.(x) delta_hi;
-          lo.(out) <- Int64.logxor lo.(x) delta_lo
-      | And (x, y) ->
-          let k = !and_idx in
-          let j = Int64.of_int (2 * k) in
-          let j' = Int64.of_int ((2 * k) + 1) in
-          let wa0_hi = hi.(x) and wa0_lo = lo.(x) in
-          let wb0_hi = hi.(y) and wb0_lo = lo.(y) in
-          let pa = Int64.logand wa0_lo 1L = 1L in
-          let pb = Int64.logand wb0_lo 1L = 1L in
-          (* generator half-gate *)
-          let ha0_hi, ha0_lo = hash j wa0_hi wa0_lo in
-          let ha1_hi, ha1_lo =
-            hash j (Int64.logxor wa0_hi delta_hi) (Int64.logxor wa0_lo delta_lo)
-          in
-          let tg_hi = Int64.logxor ha0_hi ha1_hi and tg_lo = Int64.logxor ha0_lo ha1_lo in
-          let tg_hi = if pb then Int64.logxor tg_hi delta_hi else tg_hi in
-          let tg_lo = if pb then Int64.logxor tg_lo delta_lo else tg_lo in
-          let wg0_hi = if pa then Int64.logxor ha0_hi tg_hi else ha0_hi in
-          let wg0_lo = if pa then Int64.logxor ha0_lo tg_lo else ha0_lo in
-          (* evaluator half-gate *)
-          let hb0_hi, hb0_lo = hash j' wb0_hi wb0_lo in
-          let hb1_hi, hb1_lo =
-            hash j' (Int64.logxor wb0_hi delta_hi) (Int64.logxor wb0_lo delta_lo)
-          in
-          let te_hi = Int64.logxor (Int64.logxor hb0_hi hb1_hi) wa0_hi in
-          let te_lo = Int64.logxor (Int64.logxor hb0_lo hb1_lo) wa0_lo in
-          let we0_hi = if pb then Int64.logxor hb0_hi (Int64.logxor te_hi wa0_hi) else hb0_hi in
-          let we0_lo = if pb then Int64.logxor hb0_lo (Int64.logxor te_lo wa0_lo) else hb0_lo in
-          hi.(out) <- Int64.logxor wg0_hi we0_hi;
-          lo.(out) <- Int64.logxor wg0_lo we0_lo;
-          table_g_hi.(k) <- tg_hi;
-          table_g_lo.(k) <- tg_lo;
-          table_e_hi.(k) <- te_hi;
-          table_e_lo.(k) <- te_lo;
-          incr and_idx)
-    circuit.gates;
+  for i = 0 to n_gates circuit - 1 do
+    let out = circuit.n_inputs + i in
+    let x = circuit.lhs.(i) and y = circuit.rhs.(i) in
+    match circuit.op.(i) with
+    | Xor ->
+        hi.(out) <- Int64.logxor hi.(x) hi.(y);
+        lo.(out) <- Int64.logxor lo.(x) lo.(y)
+    | Not ->
+        hi.(out) <- Int64.logxor hi.(x) delta_hi;
+        lo.(out) <- Int64.logxor lo.(x) delta_lo
+    | And ->
+        let k = !and_idx in
+        let j = Int64.of_int (2 * k) in
+        let j' = Int64.of_int ((2 * k) + 1) in
+        let wa0_hi = hi.(x) and wa0_lo = lo.(x) in
+        let wb0_hi = hi.(y) and wb0_lo = lo.(y) in
+        let pa = Int64.logand wa0_lo 1L = 1L in
+        let pb = Int64.logand wb0_lo 1L = 1L in
+        (* generator half-gate *)
+        let ha0_hi, ha0_lo = hash j wa0_hi wa0_lo in
+        let ha1_hi, ha1_lo =
+          hash j (Int64.logxor wa0_hi delta_hi) (Int64.logxor wa0_lo delta_lo)
+        in
+        let tg_hi = Int64.logxor ha0_hi ha1_hi and tg_lo = Int64.logxor ha0_lo ha1_lo in
+        let tg_hi = if pb then Int64.logxor tg_hi delta_hi else tg_hi in
+        let tg_lo = if pb then Int64.logxor tg_lo delta_lo else tg_lo in
+        let wg0_hi = if pa then Int64.logxor ha0_hi tg_hi else ha0_hi in
+        let wg0_lo = if pa then Int64.logxor ha0_lo tg_lo else ha0_lo in
+        (* evaluator half-gate *)
+        let hb0_hi, hb0_lo = hash j' wb0_hi wb0_lo in
+        let hb1_hi, hb1_lo =
+          hash j' (Int64.logxor wb0_hi delta_hi) (Int64.logxor wb0_lo delta_lo)
+        in
+        let te_hi = Int64.logxor (Int64.logxor hb0_hi hb1_hi) wa0_hi in
+        let te_lo = Int64.logxor (Int64.logxor hb0_lo hb1_lo) wa0_lo in
+        let we0_hi = if pb then Int64.logxor hb0_hi (Int64.logxor te_hi wa0_hi) else hb0_hi in
+        let we0_lo = if pb then Int64.logxor hb0_lo (Int64.logxor te_lo wa0_lo) else hb0_lo in
+        hi.(out) <- Int64.logxor wg0_hi we0_hi;
+        lo.(out) <- Int64.logxor wg0_lo we0_lo;
+        table_g_hi.(k) <- tg_hi;
+        table_g_lo.(k) <- tg_lo;
+        table_e_hi.(k) <- te_hi;
+        table_e_lo.(k) <- te_lo;
+        incr and_idx
+  done;
   let output_decode =
     Array.map (fun w -> Int64.logand lo.(w) 1L = 1L) circuit.outputs
   in
@@ -140,38 +140,38 @@ let eval_labels g (input_labels : Label.t array) =
       lo.(i) <- l.Label.lo)
     input_labels;
   let and_idx = ref 0 in
-  Array.iteri
-    (fun i gate ->
-      let out = circuit.n_inputs + i in
-      match gate with
-      | Xor (x, y) ->
-          hi.(out) <- Int64.logxor hi.(x) hi.(y);
-          lo.(out) <- Int64.logxor lo.(x) lo.(y)
-      | Not x ->
-          hi.(out) <- hi.(x);
-          lo.(out) <- lo.(x)
-      | And (x, y) ->
-          let k = !and_idx in
-          let j = Int64.of_int (2 * k) in
-          let j' = Int64.of_int ((2 * k) + 1) in
-          let wa_hi = hi.(x) and wa_lo = lo.(x) in
-          let wb_hi = hi.(y) and wb_lo = lo.(y) in
-          let sa = Int64.logand wa_lo 1L = 1L in
-          let sb = Int64.logand wb_lo 1L = 1L in
-          let ha_hi, ha_lo = hash j wa_hi wa_lo in
-          let wg_hi = if sa then Int64.logxor ha_hi g.table_g_hi.(k) else ha_hi in
-          let wg_lo = if sa then Int64.logxor ha_lo g.table_g_lo.(k) else ha_lo in
-          let hb_hi, hb_lo = hash j' wb_hi wb_lo in
-          let we_hi =
-            if sb then Int64.logxor hb_hi (Int64.logxor g.table_e_hi.(k) wa_hi) else hb_hi
-          in
-          let we_lo =
-            if sb then Int64.logxor hb_lo (Int64.logxor g.table_e_lo.(k) wa_lo) else hb_lo
-          in
-          hi.(out) <- Int64.logxor wg_hi we_hi;
-          lo.(out) <- Int64.logxor wg_lo we_lo;
-          incr and_idx)
-    circuit.gates;
+  for i = 0 to n_gates circuit - 1 do
+    let out = circuit.n_inputs + i in
+    let x = circuit.lhs.(i) and y = circuit.rhs.(i) in
+    match circuit.op.(i) with
+    | Xor ->
+        hi.(out) <- Int64.logxor hi.(x) hi.(y);
+        lo.(out) <- Int64.logxor lo.(x) lo.(y)
+    | Not ->
+        hi.(out) <- hi.(x);
+        lo.(out) <- lo.(x)
+    | And ->
+        let k = !and_idx in
+        let j = Int64.of_int (2 * k) in
+        let j' = Int64.of_int ((2 * k) + 1) in
+        let wa_hi = hi.(x) and wa_lo = lo.(x) in
+        let wb_hi = hi.(y) and wb_lo = lo.(y) in
+        let sa = Int64.logand wa_lo 1L = 1L in
+        let sb = Int64.logand wb_lo 1L = 1L in
+        let ha_hi, ha_lo = hash j wa_hi wa_lo in
+        let wg_hi = if sa then Int64.logxor ha_hi g.table_g_hi.(k) else ha_hi in
+        let wg_lo = if sa then Int64.logxor ha_lo g.table_g_lo.(k) else ha_lo in
+        let hb_hi, hb_lo = hash j' wb_hi wb_lo in
+        let we_hi =
+          if sb then Int64.logxor hb_hi (Int64.logxor g.table_e_hi.(k) wa_hi) else hb_hi
+        in
+        let we_lo =
+          if sb then Int64.logxor hb_lo (Int64.logxor g.table_e_lo.(k) wa_lo) else hb_lo
+        in
+        hi.(out) <- Int64.logxor wg_hi we_hi;
+        lo.(out) <- Int64.logxor wg_lo we_lo;
+        incr and_idx
+  done;
   Array.map (fun w -> { Label.hi = hi.(w); lo = lo.(w) }) circuit.outputs
 
 (** Decode an output's active label to its cleartext bit. *)

@@ -140,9 +140,7 @@ let eval_word_circuit ~bits ~n_inputs f values =
   let module Bb = Boolean_circuit.Builder in
   let b = Bb.create () in
   let words = Array.init n_inputs (fun _ -> Circuits.input_word b bits) in
-  let out = f b words in
-  let out = Circuits.materialize_word b 0 out in
-  let circuit = Bb.finalize b ~outputs:out in
+  let circuit = Bb.finalize b ~outputs:(f b words) in
   let input_bits =
     Array.concat (List.map (fun v -> Circuits.bool_array_of_int64 ~bits v) (Array.to_list values))
   in
@@ -231,8 +229,63 @@ let test_and_count_add () =
   let b = Bb.create () in
   let x = Circuits.input_word b 32 and y = Circuits.input_word b 32 in
   let s = Circuits.add_word b x y in
-  let c = Bb.finalize b ~outputs:(Circuits.materialize_word b 0 s) in
+  let c = Bb.finalize b ~outputs:s in
   Alcotest.(check int) "adder AND count" 31 (Boolean_circuit.and_count c)
+
+(* SHA-256 of a canonical text form of a circuit: the input count, each
+   gate as "and x y" / "xor x y" / "not x", then the outputs. *)
+let circuit_digest (c : Boolean_circuit.t) =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf (Printf.sprintf "inputs %d\n" c.Boolean_circuit.n_inputs);
+  for g = 0 to Boolean_circuit.n_gates c - 1 do
+    let x = c.Boolean_circuit.lhs.(g) and y = c.Boolean_circuit.rhs.(g) in
+    Buffer.add_string buf
+      (match c.Boolean_circuit.op.(g) with
+      | Boolean_circuit.And -> Printf.sprintf "and %d %d\n" x y
+      | Boolean_circuit.Xor -> Printf.sprintf "xor %d %d\n" x y
+      | Boolean_circuit.Not -> Printf.sprintf "not %d\n" x)
+  done;
+  Buffer.add_string buf "outputs";
+  Array.iter (fun w -> Buffer.add_string buf (Printf.sprintf " %d" w)) c.Boolean_circuit.outputs;
+  Buffer.add_char buf '\n';
+  Sha256.to_hex (Sha256.digest_string (Buffer.contents buf))
+
+(* The builder's output pinned gate for gate: the 32-bit multiplier, and
+   a circuit whose outputs mix wires with the constants 1, 0, 1 (each
+   put on its own [0 XOR 0] gate, plus a NOT for 1, in output order). *)
+let test_circuit_digests () =
+  let module Bb = Boolean_circuit.Builder in
+  let b = Bb.create () in
+  let x = Circuits.input_word b 32 and y = Circuits.input_word b 32 in
+  let mul = Bb.finalize b ~outputs:(Circuits.mul_word b x y) in
+  Alcotest.(check (pair int int)) "mul32 AND / gates" (993, 2854)
+    (Boolean_circuit.and_count mul, Boolean_circuit.n_gates mul);
+  Alcotest.(check string) "mul32 digest"
+    "0f20abab3f1c8194a5b87af940e020f46b0236d69375a3da2af0580dafd956b2" (circuit_digest mul);
+  let b = Bb.create () in
+  let x = Circuits.input_word b 8 and y = Circuits.input_word b 8 in
+  let sum = Circuits.add_word b x y in
+  let lt = Circuits.lt_word b x y in
+  let c =
+    Bb.finalize b ~outputs:(Array.concat [ [| lt |]; Circuits.const_word ~bits:3 5L; sum ])
+  in
+  Alcotest.(check (pair int int)) "constant-output AND / gates" (15, 77)
+    (Boolean_circuit.and_count c, Boolean_circuit.n_gates c);
+  Alcotest.(check string) "constant-output digest"
+    "0d83ac336b507ffddeba0102c3cb9b17f7dea9184c54f3be0b26930efbc8b9d4" (circuit_digest c);
+  let got = Boolean_circuit.eval c (Array.init 16 (fun i -> i = 0 || i = 9)) in
+  Alcotest.(check (array bool)) "constants evaluate" [| true; false; true |]
+    (Array.sub got 1 3)
+
+(* Inputs come first: a gate fixes the input count. *)
+let test_builder_input_after_gate () =
+  let module Bb = Boolean_circuit.Builder in
+  let b = Bb.create () in
+  let x = Bb.input b and y = Bb.input b in
+  ignore (Bb.band b x y : Bb.value);
+  match Bb.input b with
+  | _ -> Alcotest.fail "an input after a gate must be rejected"
+  | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Garbling: random circuits decode to the clear evaluation *)
@@ -254,11 +307,7 @@ let random_circuit prg ~n_inputs ~n_gates =
     in
     wires := w :: !wires
   done;
-  let outputs =
-    Array.of_list (List.filteri (fun i _ -> i < 8) !wires)
-    |> Array.map (fun v -> Bb.materialize b 0 v)
-  in
-  Bb.finalize b ~outputs
+  Bb.finalize b ~outputs:(Array.of_list (List.filteri (fun i _ -> i < 8) !wires))
 
 let test_garbling_matches_clear () =
   let prg = Prg.create 99L in
@@ -401,28 +450,68 @@ let test_gc_reveal () =
     [ ctx_real (); ctx_sim () ]
 
 (* Both batch entry points share one prologue, so both refuse a batch
-   whose items do not share item 0's circuit shape — before any item
-   runs, on either backend. *)
+   whose items do not share item 0's input layout — before any item
+   runs, on either backend — whether an item is wider, has another
+   owner with the same width, or is shared where item 0 is private with
+   the same bit count (16 bits on an 8-bit ring). *)
 let test_gc_batch_shape_mismatch () =
-  let items =
-    [|
-      [ Gc_protocol.Priv { owner = Party.Alice; value = 3L; bits = 8 } ];
-      [ Gc_protocol.Priv { owner = Party.Alice; value = 3L; bits = 16 } ];
-    |]
-  in
-  let build _ words = [ words.(0) ] in
+  let priv owner bits = Gc_protocol.Priv { owner; value = 3L; bits } in
+  let build _ (words : Circuits.word array) = [ Array.sub words.(0) 0 8 ] in
   List.iter
-    (fun (backend, ctx) ->
-      let rejects name f =
-        match f () with
-        | _ -> Alcotest.failf "%s (%s): a wider second item must be rejected" name backend
-        | exception Invalid_argument _ -> ()
-      in
-      rejects "reveal batch" (fun () ->
-          ignore (Gc_protocol.eval_reveal_batch ctx ~to_:Party.Bob ~items ~build));
-      rejects "shares batch" (fun () ->
-          ignore (Gc_protocol.eval_to_shares_batch ctx ~items ~build)))
-    [ ("real", ctx_real ()); ("sim", ctx_sim ()) ]
+    (fun (backend, gc_backend) ->
+      let ctx = Context.create ~bits:8 ~gc_backend ~seed:42L () in
+      let shared = Gc_protocol.Shared (Secret_share.share ctx ~owner:Party.Alice 3L) in
+      List.iter
+        (fun (what, items) ->
+          let rejects entry f =
+            match f () with
+            | _ -> Alcotest.failf "%s (%s): a %s item must be rejected" entry backend what
+            | exception Invalid_argument msg ->
+                Alcotest.(check bool) "names the entry point" true
+                  (String.starts_with ~prefix:("Gc_protocol." ^ entry) msg)
+          in
+          rejects "eval_reveal_batch" (fun () ->
+              ignore (Gc_protocol.eval_reveal_batch ctx ~to_:Party.Bob ~items ~build));
+          rejects "eval_to_shares_batch" (fun () ->
+              ignore (Gc_protocol.eval_to_shares_batch ctx ~items ~build)))
+        [
+          ("wider", [| [ priv Party.Alice 8 ]; [ priv Party.Alice 16 ] |]);
+          ("other-owner", [| [ priv Party.Alice 16 ]; [ priv Party.Bob 16 ] |]);
+          ("shared", [| [ priv Party.Alice 16 ]; [ shared ] |]);
+        ])
+    [ ("real", Context.Real); ("sim", Context.Sim) ]
+
+(* A fixed-seed Real batch whose first input is shared: its two words
+   are declared before the Priv word that follows, and the adders come
+   after every input. Pinned: the wire order and the AND tweak order
+   both show in the shares. *)
+let test_gc_shared_first_pinned () =
+  let ctx = Context.create ~bits:16 ~gc_backend:Context.Real ~seed:7L () in
+  let items =
+    Array.init 3 (fun i ->
+        let s = Secret_share.share ctx ~owner:Party.Alice (Int64.of_int (1000 + i)) in
+        let t = Secret_share.share ctx ~owner:Party.Bob (Int64.of_int (37 * i)) in
+        [
+          Gc_protocol.Shared s;
+          Gc_protocol.Priv { owner = Party.Bob; value = Int64.of_int (5 + i); bits = 16 };
+          Gc_protocol.Shared t;
+        ])
+  in
+  let shares =
+    Gc_protocol.eval_to_shares_batch ctx ~items ~build:(fun b w ->
+        [
+          Circuits.mul_word b (Circuits.add_word b w.(0) w.(1)) w.(2);
+          Circuits.sub_word b w.(0) w.(2);
+        ])
+  in
+  Alcotest.(check (array (array (pair int64 int64))))
+    "shares"
+    [|
+      [| (59838L, 5698L); (47510L, 19026L) |];
+      [| (26103L, 11156L); (1663L, 64837L) |];
+      [| (32165L, 42501L); (48899L, 17565L) |];
+    |]
+    (Array.map (Array.map (fun s -> (s.Secret_share.a, s.Secret_share.b))) shares)
 
 let gc_random_agreement =
   QCheck.Test.make ~count:50 ~name:"gc real/sim agree on random mul-add"
@@ -1666,6 +1755,8 @@ let () =
         ] );
       ( "circuits",
         Alcotest.test_case "adder AND count" `Quick test_and_count_add
+        :: Alcotest.test_case "digests pinned" `Quick test_circuit_digests
+        :: Alcotest.test_case "input after gate" `Quick test_builder_input_after_gate
         :: qsuite
              [
                circuit_add; circuit_sub; circuit_mul; circuit_eq; circuit_lt;
@@ -1688,6 +1779,7 @@ let () =
           Alcotest.test_case "real/sim backend agreement" `Quick test_gc_real_sim_agreement;
           Alcotest.test_case "batch values pinned" `Quick test_gc_batch_pinned;
           Alcotest.test_case "batch shape mismatch" `Quick test_gc_batch_shape_mismatch;
+          Alcotest.test_case "shared-first batch pinned" `Quick test_gc_shared_first_pinned;
         ]
         @ qsuite [ gc_random_agreement ] );
       ( "domain-pool",

@@ -129,8 +129,7 @@ let tropical_circuit_agree =
         let b = Bb.create () in
         let wx = Secyan_crypto.Circuits.input_word b 32 in
         let wy = Secyan_crypto.Circuits.input_word b 32 in
-        let out = Secyan_crypto.Circuits.materialize_word b 0 (f t b wx wy) in
-        let c = Bb.finalize b ~outputs:out in
+        let c = Bb.finalize b ~outputs:(f t b wx wy) in
         let bits v = Secyan_crypto.Circuits.bool_array_of_int64 ~bits:32 v in
         Secyan_crypto.Circuits.int64_of_bool_array
           (Secyan_crypto.Boolean_circuit.eval c (Array.append (bits ex) (bits ey)))
